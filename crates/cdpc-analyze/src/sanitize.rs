@@ -190,18 +190,6 @@ impl SanitizerProbe {
 }
 
 impl Probe for SanitizerProbe {
-    fn on_engine_restart(&mut self) {
-        // The serial re-run replays every coherence event from a fresh
-        // simulator; the shadow protocol state must restart empty too.
-        self.shadow.clear();
-        self.inflight.clear();
-        self.flushed.clear();
-        self.page_bytes = 0;
-        self.violations.clear();
-        self.events = 0;
-        self.sweeps = 0;
-    }
-
     fn on_line_state(&mut self, cpu: usize, line_addr: u64, state: LineState) {
         self.inflight.remove(inflight_key(line_addr, cpu));
         let word = self.shadow.get(line_addr).copied().unwrap_or(0);

@@ -64,28 +64,6 @@ fn bench_simulation() {
     );
 }
 
-fn bench_engine() {
-    // Serial run loop vs the epoch-parallel engine on the same workload
-    // (tomcatv, 8 simulated CPUs — the headline configuration). On a
-    // single-core host the engine rows price its choreography overhead;
-    // on a multi-core host they show the intra-run overlap. The reports
-    // are bit-identical either way (DESIGN.md section 6h).
-    let setup = Setup::with_scale(64);
-    let bench = cdpc_workloads::by_name("tomcatv").expect("exists");
-    let compiled = setup.compile_bench(&bench, Preset::Base1MbDm, 8, false, true);
-    for sim_threads in [1usize, 2, 4] {
-        let t = time_iters(2, 10, || {
-            let mut cfg = RunConfig::new(setup.scaled_mem(Preset::Base1MbDm, 8), PolicyKind::Cdpc);
-            cfg.sim_threads = sim_threads;
-            black_box(run(&compiled, &cfg));
-        });
-        println!(
-            "pipeline/run_loop_tomcatv_8p/sim-threads={sim_threads} {:>12}",
-            fmt_duration(t.secs_per_iter())
-        );
-    }
-}
-
 fn bench_cached_sweep() {
     // A Figure-6-shaped sweep through the persistent result cache: the
     // cold pass simulates all 18 points and stores them, the warm pass
@@ -137,6 +115,5 @@ fn bench_cached_sweep() {
 fn main() {
     bench_compile();
     bench_simulation();
-    bench_engine();
     bench_cached_sweep();
 }

@@ -41,8 +41,8 @@ use cdpc_compiler::ir::Program;
 use cdpc_compiler::{compile, CompileOptions, CompiledProgram};
 use cdpc_machine::{
     attribution_probe, attribution_to_html, attribution_to_json, render_attribution_top,
-    report_to_json, run_observed, run_sweep_memo, sweep_map, thread_budget, PolicyKind,
-    ResultCache, RunConfig, RunReport, SchedulerKind, SweepJob,
+    report_to_json, run_observed, run_sweep_memo, sweep_map, PolicyKind, ResultCache, RunConfig,
+    RunReport, SchedulerKind, SweepJob,
 };
 use cdpc_memsim::{CacheConfig, MemConfig};
 use cdpc_obs::{AttributionProbe, IntervalSeries, JsonValue, TraceProbe};
@@ -79,10 +79,9 @@ impl Preset {
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
 
 const FLAG_USAGE: &str = "supported flags: --scale N, --full, --threads N (0 = auto), \
-                          --sim-threads N (0 = auto), --cache <dir>, --no-cache, \
-                          --lint, --sanitize, --predict <path>, --sarif <path>, \
-                          --scheduler batch|heap, --json <path>, --trace <path>, \
-                          --series <path>, --sample-interval <cycles>, --attrib <path>, --top";
+                          --cache <dir>, --no-cache, --lint, --sanitize, --predict <path>, \
+                          --sarif <path>, --scheduler batch|heap, --json <path>, \
+                          --trace <path>, --series <path>, --sample-interval <cycles>, --attrib <path>, --top";
 
 /// Observability outputs requested on the command line, shared by every
 /// experiment binary via [`Setup::from_args`].
@@ -230,13 +229,6 @@ pub struct Setup {
     /// defaults to the host's available parallelism). Reports are
     /// bit-identical for every value.
     pub threads: usize,
-    /// Intra-run engine threads (`--sim-threads N`; default 1 = the
-    /// serial scheduler). Values above 1 run each simulation through the
-    /// epoch-parallel engine, which is bit-identical to the serial path.
-    /// Composes with `threads`: [`run_jobs`](Self::run_jobs) divides the
-    /// job fan-out by `sim_threads` ([`thread_budget`]) so the two levels
-    /// never oversubscribe the host.
-    pub sim_threads: usize,
     /// Observability outputs for [`run_bench`](Self::run_bench).
     pub obs: ObsOptions,
     /// `--lint`: run the `cdpc-analyze` static lints on every program
@@ -275,7 +267,6 @@ impl PartialEq for Setup {
         // The compilation memo is a derived cache, not configuration.
         self.scale == other.scale
             && self.threads == other.threads
-            && self.sim_threads == other.sim_threads
             && self.obs == other.obs
             && self.lint == other.lint
             && self.sanitize == other.sanitize
@@ -300,7 +291,6 @@ impl Setup {
         Setup {
             scale,
             threads: cdpc_machine::default_threads(),
-            sim_threads: 1,
             obs: ObsOptions::default(),
             lint: false,
             sanitize: false,
@@ -363,22 +353,6 @@ impl Setup {
                         .unwrap_or_else(|_| panic!("--threads needs a thread count (0 = auto)"));
                     // 0 = auto-detect the host's available parallelism.
                     setup.threads = if v == 0 {
-                        cdpc_machine::default_threads()
-                    } else {
-                        v
-                    };
-                    i += 2;
-                }
-                "--sim-threads" => {
-                    let v = value(&args, i, "--sim-threads")
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| {
-                            panic!("--sim-threads needs a thread count (0 = auto)")
-                        });
-                    // 0 = auto-detect; thread_budget() still divides the
-                    // job fan-out through, so the two levels never
-                    // oversubscribe the host.
-                    setup.sim_threads = if v == 0 {
                         cdpc_machine::default_threads()
                     } else {
                         v
@@ -551,7 +525,6 @@ impl Setup {
         let mut cfg = RunConfig::new(self.scaled_mem(preset, cpus), policy);
         cfg.validate_coherence = self.sanitize;
         cfg.scheduler = self.scheduler;
-        cfg.sim_threads = self.sim_threads;
         SweepJob::new(compiled, cfg)
     }
 
@@ -560,12 +533,11 @@ impl Setup {
     ///
     /// With no observability outputs this is
     /// [`run_sweep_memo`](cdpc_machine::run_sweep_memo): pure simulation
-    /// fan-out with content-addressed memoization (in-sweep dedup,
-    /// warm-checkpoint forking, and — when [`Setup::cache`] is set — the
-    /// persistent result cache), bit-identical to the unmemoized sweep for
-    /// any thread count. With a cache attached, the
-    /// [`SweepCacheStats`](cdpc_obs::SweepCacheStats) summary is printed
-    /// to stderr (stdout stays byte-identical for the golden diffs).
+    /// fan-out with content-addressed memoization (in-sweep dedup and —
+    /// when [`Setup::cache`] is set — the persistent result cache),
+    /// bit-identical to the unmemoized sweep for any thread count. With a
+    /// cache attached, the [`SweepCacheStats`](cdpc_obs::SweepCacheStats)
+    /// summary is printed to stderr (stdout stays byte-identical for the golden diffs).
     ///
     /// When [`ObsOptions`] flags are set, execution itself is the product
     /// (traces, series, attribution), so every job bypasses the cache:
@@ -578,17 +550,14 @@ impl Setup {
     /// (composed with the trace probe when both are requested), so a MESI
     /// invariant violation aborts the experiment at the offending event.
     pub fn run_jobs(&self, jobs: &[SweepJob]) -> Vec<RunReport> {
-        // Combined cap: each engine-backed run brings `sim_threads` host
-        // threads of its own, so the job fan-out shrinks to compensate.
-        let threads = thread_budget(self.threads, self.sim_threads);
         if !self.obs.probes_needed() && !self.sanitize {
             let cache = self.cache.as_deref().map(ResultCache::new);
-            let (reports, stats) = run_sweep_memo(jobs, threads, cache.as_ref());
+            let (reports, stats) = run_sweep_memo(jobs, self.threads, cache.as_ref());
             if cache.is_some() {
                 eprintln!("[cdpc-cache] {}", stats.summary_line());
             }
             // `--json` is report-rendered, not probe-observed, so cached
-            // and forked runs export exactly like fresh ones.
+            // and deduped runs export exactly like fresh ones.
             if self.obs.active() {
                 for report in &reports {
                     self.obs.record(report, None, None, None);
@@ -600,7 +569,7 @@ impl Setup {
         let want_trace = self.obs.trace.is_some();
         let want_attrib = self.obs.attribution();
         let sanitize = self.sanitize;
-        let results = sweep_map(jobs, threads, |job| {
+        let results = sweep_map(jobs, self.threads, |job| {
             let cpus = job.cfg.mem.num_cpus;
             // Compose the requested sinks as a tuple of `Option<Probe>`s:
             // `None` slots are no-ops the optimizer removes, so one code

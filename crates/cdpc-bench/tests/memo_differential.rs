@@ -3,9 +3,9 @@
 //! policies.
 //!
 //! The same job list is executed four ways — plain [`run_sweep`] (the
-//! audited baseline), [`run_sweep_memo`] without a cache (in-sweep dedup +
-//! checkpoint forking), a cold persistent cache (simulate + store), and a
-//! warm persistent cache (every job answered from disk) — and every way
+//! audited baseline), [`run_sweep_memo`] without a cache (in-sweep
+//! dedup), a cold persistent cache (simulate + store), and a warm
+//! persistent cache (every job answered from disk) — and every way
 //! must produce *exactly* the same bytes in all three rendered artifacts:
 //! the structured [`RunReport`]s, their JSON exports, and a CSV table of
 //! every report field the figures consume. Not "close": identical.
@@ -19,9 +19,11 @@ use cdpc_machine::{
 const SCALE: u64 = 64;
 const THREADS: usize = 4;
 
-/// Suite × CPU counts × policies, plus renamed-content twins that force
-/// the warm-checkpoint fork path, plus the remaining policy families on
-/// one workload.
+/// Exact duplicate jobs appended by [`suite_jobs`], answered by dedup.
+const DUPLICATES: u64 = 2;
+
+/// Suite × CPU counts × policies, plus [`DUPLICATES`] exact copies of
+/// matrix jobs, plus the remaining policy families on one workload.
 fn suite_jobs(setup: &Setup) -> Vec<SweepJob> {
     let mut jobs = Vec::new();
     for bench in cdpc_workloads::all() {
@@ -31,12 +33,10 @@ fn suite_jobs(setup: &Setup) -> Vec<SweepJob> {
             }
         }
     }
-    // Same content, different report name: these share a warm key with
-    // their originals and must fork from one checkpoint.
-    for (i, job) in suite_jobs_fork_seeds(&jobs) {
-        let mut renamed = (*jobs[i].compiled).clone();
-        renamed.name = format!("{}-renamed", renamed.name);
-        jobs.push(SweepJob::new(renamed, job));
+    // Copies of the first and last matrix jobs (both CPU counts), which
+    // in-sweep dedup must answer from their originals.
+    for i in [0, jobs.len() - 1] {
+        jobs.push(jobs[i].clone());
     }
     // Policy families not in the main matrix.
     let bench = cdpc_workloads::by_name("hydro2d").expect("exists");
@@ -48,15 +48,6 @@ fn suite_jobs(setup: &Setup) -> Vec<SweepJob> {
         jobs.push(setup.job(&bench, Preset::Base1MbDm, 4, policy, false, true));
     }
     jobs
-}
-
-/// Picks two jobs to twin under a new name (first and last of the matrix,
-/// so both CPU counts are covered), returning `(index, cfg)` pairs.
-fn suite_jobs_fork_seeds(jobs: &[SweepJob]) -> Vec<(usize, cdpc_machine::RunConfig)> {
-    vec![
-        (0, jobs[0].cfg.clone()),
-        (jobs.len() - 1, jobs[jobs.len() - 1].cfg.clone()),
-    ]
 }
 
 /// One CSV row per report: every scalar field a figure or table reads.
@@ -127,25 +118,26 @@ fn memoized_sweeps_are_byte_identical_to_fresh_serial_runs() {
     let baseline = run_sweep(&jobs, THREADS);
     let (base_text, base_json, base_csv) = artifacts(&baseline);
 
-    // Dedup + checkpoint forking, no persistent cache.
-    let (forked, forked_stats) = run_sweep_memo(&jobs, THREADS, None);
-    assert!(forked_stats.forked >= 2, "the renamed twins must fork");
-    assert_eq!(baseline, forked, "forked sweep reports diverge");
+    // Dedup, no persistent cache.
+    let (deduped, dedup_stats) = run_sweep_memo(&jobs, THREADS, None);
+    assert_eq!(dedup_stats.deduped, DUPLICATES, "the copies must dedup");
+    assert_eq!(baseline, deduped, "deduped sweep reports diverge");
+    let unique = jobs.len() as u64 - DUPLICATES;
 
     // Cold cache: simulate everything, store everything.
     let (cold, cold_stats) = run_sweep_memo(&jobs, THREADS, Some(&cache));
     assert_eq!(cold_stats.hits, 0, "cache starts empty");
-    assert_eq!(cold_stats.misses, jobs.len() as u64);
+    assert_eq!(cold_stats.misses, unique);
     assert_eq!(baseline, cold, "cold cached sweep reports diverge");
 
     // Warm cache: every job answered from disk, zero simulation.
     let (warm, warm_stats) = run_sweep_memo(&jobs, THREADS, Some(&cache));
     assert_eq!(warm_stats.misses, 0, "warm pass must hit on every job");
-    assert_eq!(warm_stats.hits, jobs.len() as u64);
+    assert_eq!(warm_stats.hits, unique);
     assert_eq!(baseline, warm, "warm cached sweep reports diverge");
 
     // Byte-identity of every rendered artifact, for every path.
-    for (label, reports) in [("forked", &forked), ("cold", &cold), ("warm", &warm)] {
+    for (label, reports) in [("deduped", &deduped), ("cold", &cold), ("warm", &warm)] {
         let (text, json, csv) = artifacts(reports);
         assert_eq!(base_text, text, "{label}: rendered report text diverges");
         assert_eq!(base_json, json, "{label}: JSON export diverges");
@@ -156,7 +148,7 @@ fn memoized_sweeps_are_byte_identical_to_fresh_serial_runs() {
 }
 
 /// The memoized path must also be independent of the worker-thread count,
-/// like the plain sweep (the checkpoint groups repartition the work).
+/// like the plain sweep (dedup repartitions the work).
 #[test]
 fn memoized_sweep_is_thread_count_invariant() {
     let setup = Setup::with_scale(SCALE);
@@ -167,9 +159,7 @@ fn memoized_sweep_is_thread_count_invariant() {
             jobs.push(setup.job(&bench, Preset::Base1MbDm, cpus, policy, false, true));
         }
     }
-    let mut renamed = (*jobs[0].compiled).clone();
-    renamed.name = "tomcatv-twin".to_string();
-    jobs.push(SweepJob::new(renamed, jobs[0].cfg.clone()));
+    jobs.push(jobs[0].clone());
 
     let (one, _) = run_sweep_memo(&jobs, 1, None);
     for threads in [2usize, 4, 8] {

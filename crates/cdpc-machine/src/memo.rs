@@ -1,15 +1,15 @@
 //! Content-addressed memoization of simulation runs.
 //!
 //! A simulation is a pure function: `(CompiledProgram, RunConfig)` fully
-//! determines the [`RunReport`], bit for bit (the determinism and engine
-//! differential suites prove this across schedulers, thread counts, and
-//! probe families). That purity makes runs memoizable at two levels:
+//! determines the [`RunReport`], bit for bit (the determinism suite proves
+//! this across schedulers, thread counts, and probe families). That purity
+//! makes runs memoizable at two levels:
 //!
 //! 1. **In-process** — [`run_key`] canonicalizes the config (execution
 //!    strategy knobs that provably do not change results are normalized
 //!    away) and fingerprints it together with the program, so the sweep
-//!    executor can deduplicate identical jobs and group jobs that share a
-//!    warm-up prefix (see `sweep::run_sweep_memo`).
+//!    executor can deduplicate identical jobs (see
+//!    `sweep::run_sweep_memo`).
 //! 2. **Persistent** — [`ResultCache`] stores reports on disk keyed by the
 //!    same fingerprint plus [`CACHE_FORMAT_VERSION`], so a repeated sweep
 //!    (`fig6 --cache ...`) reloads unchanged points instead of
@@ -44,26 +44,18 @@ use crate::run::{PolicyKind, RunConfig, SchedulerKind};
 /// construction, the canonicalization rules, or the simulator's observable
 /// behavior changes — entries under other versions live in sibling
 /// directories and are simply never read.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
-/// The content identity of one simulation run.
+/// The content identity of one simulation run: program content, program
+/// name, and canonical config. Equal keys mean equal reports; the key is
+/// also the persistent cache's address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RunKey {
-    /// Identity of the warmed machine state: program *content* (name
-    /// excluded) plus canonical config. Jobs with equal `warm` keys build
-    /// identical post-warm-up simulator state and can fork from one shared
-    /// checkpoint.
-    pub warm: Fingerprint,
-    /// Identity of the full result: `warm` plus report-visible metadata
-    /// (the program name, which labels the report but cannot influence the
-    /// simulation). This is the persistent cache's address.
-    pub full: Fingerprint,
-}
+pub struct RunKey(Fingerprint);
 
 impl RunKey {
-    /// The cache-file stem (32 hex chars of the full key).
+    /// The cache-file stem (32 hex chars of the key).
     pub fn hex(&self) -> String {
-        self.full.to_hex()
+        self.0.to_hex()
     }
 }
 
@@ -75,8 +67,6 @@ impl RunKey {
 /// construction:
 /// * `scheduler`, `translation_cache` — `tests/determinism.rs` proves both
 ///   schedulers and both translation paths bit-identical.
-/// * `sim_threads` — `tests/engine_differential.rs` proves the epoch
-///   engine bit-identical to serial.
 /// * `validate_coherence` — an audit that panics or does nothing; it never
 ///   alters state.
 /// * `race_window`/`seed` — consumed only by [`PolicyKind::BinHopping`] on
@@ -89,7 +79,6 @@ fn canonical_cfg(cfg: &RunConfig) -> RunConfig {
     let mut c = cfg.clone();
     c.scheduler = SchedulerKind::MinClockBatch;
     c.translation_cache = true;
-    c.sim_threads = 1;
     c.validate_coherence = false;
     if c.policy != PolicyKind::BinHopping || c.mem.num_cpus <= 1 {
         c.race_window = 0;
@@ -109,10 +98,10 @@ fn canonical_cfg(cfg: &RunConfig) -> RunConfig {
 /// Computes the [`RunKey`] for one `(program, config)` sweep point.
 ///
 /// The walk hashes the `Debug` rendering of the canonical config and of
-/// every program field except `name` — derived `Debug` is a deterministic,
-/// complete rendering of the value, which makes it the cheapest exhaustive
-/// content walk that needs no per-field maintenance when structs grow (a
-/// new field changes the rendering and therefore, correctly, the key).
+/// every program field — derived `Debug` is a deterministic, complete
+/// rendering of the value, which makes it the cheapest exhaustive content
+/// walk that needs no per-field maintenance when structs grow (a new field
+/// changes the rendering and therefore, correctly, the key).
 pub fn run_key(compiled: &CompiledProgram, cfg: &RunConfig) -> RunKey {
     let mut h = FpHasher::new();
     let canon = canonical_cfg(cfg);
@@ -125,13 +114,10 @@ pub fn run_key(compiled: &CompiledProgram, cfg: &RunConfig) -> RunKey {
         compiled.layout, compiled.arrays, compiled.summary, compiled.phases
     )
     .expect("fingerprint writer is infallible");
-    let warm = h.finish();
-    // The name rides on top: it labels the report (`RunReport::name`) but
-    // cannot influence the simulation, so it is excluded from the warm key
-    // and folded into the full key only.
+    // The name labels the report (`RunReport::name`), so it is part of the
+    // result's identity even though it cannot influence the simulation.
     h.write_str_framed(&compiled.name);
-    let full = h.finish();
-    RunKey { warm, full }
+    RunKey(h.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -488,7 +474,6 @@ mod tests {
         let base = small_cfg(2);
         let mut variant = base.clone();
         variant.scheduler = SchedulerKind::Heap;
-        variant.sim_threads = 4;
         variant.translation_cache = false;
         variant.validate_coherence = true;
         // Page coloring never reads these:
@@ -526,20 +511,15 @@ mod tests {
     }
 
     #[test]
-    fn program_name_splits_full_key_but_not_warm_key() {
+    fn program_name_and_content_change_the_key() {
         let cfg = small_cfg(2);
         let a = compiled(2);
         let mut b = a.clone();
         b.name = "tomcatv-relabeled".to_string();
         let ka = run_key(&a, &cfg);
-        let kb = run_key(&b, &cfg);
-        assert_eq!(ka.warm, kb.warm, "name must not affect warm identity");
-        assert_ne!(ka.full, kb.full, "name labels the report");
-        // Program content changes both.
+        assert_ne!(ka, run_key(&b, &cfg), "name labels the report");
         let c = compile_suite("swim", 2);
-        let kc = run_key(&c, &cfg);
-        assert_ne!(ka.warm, kc.warm);
-        assert_ne!(ka.full, kc.full);
+        assert_ne!(ka, run_key(&c, &cfg), "program content");
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! regardless of thread count — `--threads 1` and `--threads N` must
 //! produce the same bytes.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,7 +24,7 @@ use cdpc_obs::SweepCacheStats;
 
 use crate::memo::{run_key, ResultCache, RunKey};
 use crate::report::RunReport;
-use crate::run::{run, run_from_checkpoint, warm_checkpoint, RunConfig};
+use crate::run::{run, RunConfig};
 
 /// One cell of a sweep: a compiled program and the machine configuration
 /// to run it under.
@@ -115,10 +114,6 @@ where
 
 /// Runs a batch of simulation jobs on up to `threads` threads, returning
 /// one [`RunReport`] per job in input order.
-///
-/// `threads` is the *job-level* budget; callers combining job fan-out
-/// with intra-run sim-threads should first divide through
-/// [`thread_budget`] so the two levels cannot oversubscribe the host.
 pub fn run_sweep(jobs: &[SweepJob], threads: usize) -> Vec<RunReport> {
     sweep_map(jobs, threads, |job| run(&job.compiled, &job.cfg))
 }
@@ -127,45 +122,32 @@ pub fn run_sweep(jobs: &[SweepJob], threads: usize) -> Vec<RunReport> {
 /// returning the reports (input-ordered, bit-identical to [`run_sweep`])
 /// plus the [`SweepCacheStats`] describing how each job was satisfied.
 ///
-/// Three mechanisms remove redundant simulation, applied in order:
+/// Two mechanisms remove redundant simulation, applied in order:
 ///
-/// 1. **In-sweep dedup** — jobs with equal full [`RunKey`]s are the same
-///    pure function call; only the first (the *representative*) resolves,
-///    the rest reuse its report.
+/// 1. **In-sweep dedup** — jobs with equal [`RunKey`]s are the same pure
+///    function call; only the first (the *representative*) resolves, the
+///    rest reuse its report.
 /// 2. **Persistent cache** — if `cache` is `Some`, each representative
 ///    first tries [`ResultCache::load`]; hits skip simulation entirely and
 ///    misses [`ResultCache::store`] their fresh report afterwards.
-/// 3. **Checkpoint forking** — representatives that must simulate are
-///    grouped by warm key (equal program content and config, differing
-///    only in report-visible metadata); each multi-member group executes
-///    its warm-up pass once via [`warm_checkpoint`] and replays only the
-///    measured pass per member via [`run_from_checkpoint`].
 ///
-/// Every path is bit-identical to a fresh [`run`]: dedup and forking are
-/// keyed on content fingerprints over everything the simulation can
-/// observe, and the cache codec is lossless. With `cache = None`,
-/// simulated jobs count as `bypassed` rather than `misses`.
-///
-/// Parallelism is per warm-group (a group's members share mutable-free
-/// checkpoint state, so the group runs on one worker); singleton groups
-/// degrade to plain [`run`] with no checkpoint overhead.
+/// Every path is bit-identical to a fresh [`run`]: dedup is keyed on a
+/// content fingerprint over everything the simulation can observe, and
+/// the cache codec is lossless. With `cache = None`, simulated jobs count
+/// as `bypassed` rather than `misses`.
 pub fn run_sweep_memo(
     jobs: &[SweepJob],
     threads: usize,
     cache: Option<&ResultCache>,
 ) -> (Vec<RunReport>, SweepCacheStats) {
     let mut stats = SweepCacheStats::new();
-    if jobs.is_empty() {
-        return (Vec::new(), stats);
-    }
     let keys: Vec<RunKey> = jobs.iter().map(|j| run_key(&j.compiled, &j.cfg)).collect();
 
-    // In-sweep dedup: the first job with each full key represents all of
-    // them.
+    // In-sweep dedup: the first job with each key represents all of them.
     let mut rep_of: Vec<usize> = Vec::with_capacity(jobs.len());
-    let mut first_with: HashMap<u128, usize> = HashMap::new();
+    let mut first_with: HashMap<RunKey, usize> = HashMap::new();
     for (i, key) in keys.iter().enumerate() {
-        let rep = *first_with.entry(key.full.0).or_insert(i);
+        let rep = *first_with.entry(*key).or_insert(i);
         rep_of.push(rep);
         if rep != i {
             stats.deduped += 1;
@@ -188,51 +170,16 @@ pub fn run_sweep_memo(
         }
         to_run.push(i);
     }
-
-    // Group the representatives that must simulate by warm key; a group
-    // shares one warm-up pass through a checkpoint.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut group_of: HashMap<u128, usize> = HashMap::new();
-    for &i in &to_run {
-        match group_of.entry(keys[i].warm.0) {
-            Entry::Occupied(e) => groups[*e.get()].push(i),
-            Entry::Vacant(e) => {
-                e.insert(groups.len());
-                groups.push(vec![i]);
-            }
-        }
-    }
-    for g in &groups {
-        if cache.is_some() {
-            stats.misses += g.len() as u64;
-        } else {
-            stats.bypassed += g.len() as u64;
-        }
-        // The first member simulates the group's warm-up (inside
-        // warm_checkpoint); only the rest skip it.
-        stats.forked += (g.len() as u64).saturating_sub(1);
+    if cache.is_some() {
+        stats.misses = to_run.len() as u64;
+    } else {
+        stats.bypassed = to_run.len() as u64;
     }
 
-    // Simulate: one warm-up per group, one measured pass per member.
-    // Parallelism is across groups; results land by input index, so the
-    // output order (and bytes) match the unmemoized sweep exactly.
-    let ran: Vec<Vec<(usize, RunReport)>> = sweep_map(&groups, threads, |group| {
-        let first = &jobs[group[0]];
-        if group.len() == 1 {
-            return vec![(group[0], run(&first.compiled, &first.cfg))];
-        }
-        let ckpt = warm_checkpoint(&first.compiled, &first.cfg);
-        group
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    run_from_checkpoint(&jobs[i].compiled, &jobs[i].cfg, &ckpt),
-                )
-            })
-            .collect()
-    });
-    for (i, report) in ran.into_iter().flatten() {
+    // Simulate the rest; results land by input index, so the output order
+    // (and bytes) match the unmemoized sweep exactly.
+    let ran = sweep_map(&to_run, threads, |&i| run(&jobs[i].compiled, &jobs[i].cfg));
+    for (i, report) in to_run.into_iter().zip(ran) {
         if let Some(cache) = cache {
             // A failed store costs a future cache miss, nothing more.
             let _ = cache.store(&keys[i], &report);
@@ -248,19 +195,6 @@ pub fn run_sweep_memo(
         })
         .collect();
     (results, stats)
-}
-
-/// Combines the two levels of host-thread parallelism — job fan-out
-/// (`--threads`) and the intra-run engine (`--sim-threads`) — into the
-/// job-level thread budget: `max(1, threads / sim_threads)`.
-///
-/// Precedence is **sim-threads first**: each run keeps its full
-/// `sim_threads` pool and the job fan-out shrinks to compensate, so
-/// `--threads 8 --sim-threads 4` runs 2 jobs at a time with 4 engine
-/// threads each (8 host threads total, never 32). `sim_threads <= 1`
-/// leaves the budget untouched.
-pub fn thread_budget(threads: usize, sim_threads: usize) -> usize {
-    (threads / sim_threads.max(1)).max(1)
 }
 
 #[cfg(test)]
@@ -287,15 +221,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn thread_budget_divides_sim_threads_first() {
-        assert_eq!(thread_budget(8, 4), 2);
-        assert_eq!(thread_budget(8, 1), 8);
-        assert_eq!(thread_budget(8, 0), 8);
-        assert_eq!(thread_budget(4, 8), 1); // oversubscribed: one job at a time
-        assert_eq!(thread_budget(1, 1), 1);
-        assert_eq!(thread_budget(0, 4), 1);
     }
 }

@@ -118,18 +118,7 @@ impl ShadowCache {
     /// Records a reference to `line_addr` and reports whether the
     /// fully-associative cache would have hit.
     pub fn reference(&mut self, line_addr: u64) -> bool {
-        self.reference_tracked(line_addr).0
-    }
-
-    /// [`reference`](Self::reference), also reporting which line (if any)
-    /// the insertion evicted. The parallel engine's speculation check uses
-    /// the eviction to reconstruct membership at an earlier point in time.
-    pub fn reference_tracked(&mut self, line_addr: u64) -> (bool, Option<u64>) {
-        match self.lines.insert(line_addr) {
-            crate::lru::LruInsert::Hit => (true, None),
-            crate::lru::LruInsert::Inserted => (false, None),
-            crate::lru::LruInsert::Evicted(old) => (false, Some(old)),
-        }
+        matches!(self.lines.insert(line_addr), crate::lru::LruInsert::Hit)
     }
 
     /// Removes a line (on coherence invalidation, so a later miss on it is

@@ -57,7 +57,4 @@ pub mod victim;
 pub use classify::MissClass;
 pub use config::{CacheConfig, MemConfig};
 pub use stats::{CpuStats, MemStats};
-pub use system::{
-    blank_lane, AccessKind, AccessOutcome, CpuId, Lane, LaneFx, LaneStep, MemSnapshot,
-    MemorySystem, PrefetchOutcome, ServicedBy,
-};
+pub use system::{AccessKind, AccessOutcome, CpuId, MemorySystem, PrefetchOutcome, ServicedBy};

@@ -157,28 +157,6 @@ impl LineState {
 /// approximate across CPUs, exact per CPU — the same guarantee the
 /// simulator itself gives).
 pub trait Probe {
-    /// True when this probe's output depends on the *global interleaving*
-    /// of events across CPUs (e.g. an event tracer). The parallel
-    /// execution engine preserves per-CPU event order and the serial order
-    /// of all cross-CPU (coherence) events, but may deliver commutative
-    /// private events (TLB misses) out of global order; an order-sensitive
-    /// probe forces the bit-identical serial path instead.
-    const ORDER_SENSITIVE: bool = false;
-
-    /// True when this probe consumes [`Probe::on_run_batch`] events. The
-    /// parallel engine does not make scheduler decisions op-by-op, so it
-    /// only records per-op clocks and replays the serial batching
-    /// discipline when a batch-sensitive probe is attached.
-    const BATCH_SENSITIVE: bool = false;
-
-    /// The parallel execution engine hit a condition it cannot reproduce
-    /// bit-identically (a cross-CPU conflict inside a speculated private
-    /// span) and is about to re-run the *entire* run serially. Probes that
-    /// accumulate state across a run must reset to their initial state
-    /// here; the serial re-run then replays every event from scratch.
-    #[inline]
-    fn on_engine_restart(&mut self) {}
-
     /// An external-cache miss of `class` by `cpu`, stalling
     /// `stall_cycles`.
     #[inline]
@@ -336,14 +314,6 @@ impl Probe for NullProbe {}
 /// up ownership (the run loop and the memory system share one probe this
 /// way).
 impl<P: Probe + ?Sized> Probe for &mut P {
-    const ORDER_SENSITIVE: bool = P::ORDER_SENSITIVE;
-    const BATCH_SENSITIVE: bool = P::BATCH_SENSITIVE;
-
-    #[inline]
-    fn on_engine_restart(&mut self) {
-        (**self).on_engine_restart();
-    }
-
     #[inline]
     fn on_l2_miss(&mut self, cpu: usize, cycle: u64, class: MissClassId, stall_cycles: u64) {
         (**self).on_l2_miss(cpu, cycle, class, stall_cycles);
@@ -456,16 +426,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
 /// `None` is a no-op. Lets call sites compose an optional probe into a
 /// tuple without enumerating every on/off combination as its own type.
 impl<P: Probe> Probe for Option<P> {
-    const ORDER_SENSITIVE: bool = P::ORDER_SENSITIVE;
-    const BATCH_SENSITIVE: bool = P::BATCH_SENSITIVE;
-
-    #[inline]
-    fn on_engine_restart(&mut self) {
-        if let Some(p) = self {
-            p.on_engine_restart();
-        }
-    }
-
     #[inline]
     fn on_l2_miss(&mut self, cpu: usize, cycle: u64, class: MissClassId, stall_cycles: u64) {
         if let Some(p) = self {
@@ -610,14 +570,6 @@ impl<P: Probe> Probe for Option<P> {
 macro_rules! tuple_probe {
     ($($p:ident . $idx:tt),+) => {
         impl<$($p: Probe),+> Probe for ($($p,)+) {
-            const ORDER_SENSITIVE: bool = $($p::ORDER_SENSITIVE)||+;
-            const BATCH_SENSITIVE: bool = $($p::BATCH_SENSITIVE)||+;
-
-            #[inline]
-            fn on_engine_restart(&mut self) {
-                $(self.$idx.on_engine_restart();)+
-            }
-
             #[inline]
             fn on_l2_miss(&mut self, cpu: usize, cycle: u64, class: MissClassId, stall: u64) {
                 $(self.$idx.on_l2_miss(cpu, cycle, class, stall);)+
@@ -762,10 +714,6 @@ fn class_index(class: MissClassId) -> usize {
 }
 
 impl Probe for CountingProbe {
-    fn on_engine_restart(&mut self) {
-        *self = Self::default();
-    }
-
     fn on_l2_miss(&mut self, _cpu: usize, _cycle: u64, class: MissClassId, _stall: u64) {
         self.l2_misses += 1;
         self.misses_by_class[class_index(class)] += 1;

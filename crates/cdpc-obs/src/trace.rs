@@ -170,20 +170,6 @@ impl TraceProbe {
 }
 
 impl Probe for TraceProbe {
-    // A trace is exactly the global event interleaving; the parallel
-    // engine cannot reproduce it and must fall back to the serial path.
-    const ORDER_SENSITIVE: bool = true;
-
-    fn on_engine_restart(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-        self.max_cpu = 0;
-        self.bus_seen = false;
-        self.hint_lookups = 0;
-        self.hint_hits = 0;
-        self.observed = 0;
-    }
-
     fn on_l2_miss(&mut self, cpu: usize, cycle: u64, class: MissClassId, stall_cycles: u64) {
         self.record(TraceEvent {
             name: "l2-miss",

@@ -5,8 +5,8 @@
 //! colors in a *single system call*; the kernel stores them in a table that
 //! the VM subsystem consults during page faults. This module is that table.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use crate::addr::{Color, Vpn};
 
@@ -17,26 +17,12 @@ use crate::addr::{Color, Vpn};
 ///
 /// The table keeps lookup statistics (total lookups and hits) in interior-
 /// mutable counters so [`lookup`](Self::lookup) can stay `&self`; equality
-/// and hashing consider only the hints themselves. The counters are relaxed
-/// atomics rather than `Cell`s so the table is `Sync` — warm-run checkpoints
-/// hold policies (and therefore hint tables) behind `Arc` and fork them from
-/// multiple sweep threads; lookups happen only on page faults, so the
-/// atomic increment is not on the per-reference hot path.
-#[derive(Debug, Default)]
+/// and hashing consider only the hints themselves.
+#[derive(Debug, Clone, Default)]
 pub struct HintTable {
     hints: BTreeMap<Vpn, Color>,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl Clone for HintTable {
-    fn clone(&self) -> Self {
-        Self {
-            hints: self.hints.clone(),
-            lookups: AtomicU64::new(self.lookups.load(Relaxed)),
-            hits: AtomicU64::new(self.hits.load(Relaxed)),
-        }
-    }
+    lookups: Cell<u64>,
+    hits: Cell<u64>,
 }
 
 impl PartialEq for HintTable {
@@ -75,10 +61,10 @@ impl HintTable {
     /// The hint for `vpn`, if any. Counted in
     /// [`lookup_stats`](Self::lookup_stats).
     pub fn lookup(&self, vpn: Vpn) -> Option<Color> {
-        self.lookups.fetch_add(1, Relaxed);
+        self.lookups.set(self.lookups.get() + 1);
         let hint = self.hints.get(&vpn).copied();
         if hint.is_some() {
-            self.hits.fetch_add(1, Relaxed);
+            self.hits.set(self.hits.get() + 1);
         }
         hint
     }
@@ -86,13 +72,13 @@ impl HintTable {
     /// `(lookups, hits)` performed so far. A miss means the fault fell back
     /// to the base mapping policy.
     pub fn lookup_stats(&self) -> (u64, u64) {
-        (self.lookups.load(Relaxed), self.hits.load(Relaxed))
+        (self.lookups.get(), self.hits.get())
     }
 
     /// Clears the lookup counters (hints are untouched).
     pub fn reset_lookup_stats(&self) {
-        self.lookups.store(0, Relaxed);
-        self.hits.store(0, Relaxed);
+        self.lookups.set(0);
+        self.hits.set(0);
     }
 
     /// Number of hinted pages.
@@ -115,8 +101,8 @@ impl FromIterator<(Vpn, Color)> for HintTable {
     fn from_iter<I: IntoIterator<Item = (Vpn, Color)>>(iter: I) -> Self {
         Self {
             hints: iter.into_iter().collect(),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
+            lookups: Cell::new(0),
+            hits: Cell::new(0),
         }
     }
 }
