@@ -13,7 +13,9 @@
 //! goes to stdout. Exits nonzero if any workload has an `Error` diagnostic
 //! not covered by an `allow_lint` annotation — CI runs this as a gate.
 
-use cdpc_bench::{lint_program, Preset, Setup};
+use std::path::Path;
+
+use cdpc_bench::{lint_program, write_text, Preset, Setup};
 use cdpc_compiler::CompileOptions;
 use cdpc_obs::JsonValue;
 
@@ -83,7 +85,7 @@ fn main() {
     let text = doc.to_string_pretty();
     match out {
         Some(path) => {
-            std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
+            write_text(Path::new(path), &text);
             eprintln!("wrote {path}");
         }
         None => println!("{text}"),

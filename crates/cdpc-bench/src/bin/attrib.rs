@@ -20,7 +20,7 @@
 //! simulator is deterministic, so quick-mode output is byte-stable and
 //! diffable against a golden file).
 
-use cdpc_bench::Setup;
+use cdpc_bench::{exit_with_error, Setup};
 use cdpc_machine::{summary_line, PolicyKind};
 
 const USAGE: &str = "usage: attrib <benchmark> [cpus] [policy] [--scale N | --quick] \
@@ -34,7 +34,7 @@ fn main() {
     let mut i = 0;
     let value = |args: &[String], i: usize, flag: &str| -> String {
         args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} needs a value\n{USAGE}"))
+            .unwrap_or_else(|| exit_with_error(format_args!("{flag} needs a value")))
             .clone()
     };
     while i < args.len() {
@@ -42,8 +42,9 @@ fn main() {
             "--scale" => {
                 let v = value(&args, i, "--scale")
                     .parse::<u64>()
-                    .unwrap_or_else(|_| panic!("--scale needs a power-of-two value"));
-                assert!(v.is_power_of_two(), "--scale must be a power of two");
+                    .ok()
+                    .filter(|v| v.is_power_of_two())
+                    .unwrap_or_else(|| exit_with_error("--scale needs a power-of-two value"));
                 setup.scale = v;
                 i += 2;
             }
@@ -62,11 +63,13 @@ fn main() {
             "--threads" => {
                 setup.threads = value(&args, i, "--threads")
                     .parse()
-                    .unwrap_or_else(|_| panic!("--threads needs a thread count"));
+                    .unwrap_or_else(|_| exit_with_error("--threads needs a thread count"));
                 i += 2;
             }
             other => {
-                assert!(!other.starts_with("--"), "unknown flag `{other}`\n{USAGE}");
+                if other.starts_with("--") {
+                    exit_with_error(format_args!("unknown flag `{other}`"));
+                }
                 positional.push(other.to_string());
                 i += 1;
             }
@@ -83,7 +86,11 @@ fn main() {
     });
     let cpus: usize = positional
         .get(1)
-        .map(|s| s.parse().expect("cpus must be a number"))
+        .map(|s| {
+            s.parse().unwrap_or_else(|_| {
+                exit_with_error(format_args!("cpus must be a number, not `{s}`"))
+            })
+        })
         .unwrap_or(8);
     let policy = match positional.get(2).map(String::as_str).unwrap_or("cdpc") {
         "page-coloring" | "pc" => PolicyKind::PageColoring,

@@ -9,7 +9,7 @@
 //!     --json report.json --trace trace.json --series series.csv
 //! ```
 
-use cdpc_bench::{Preset, Setup};
+use cdpc_bench::{exit_with_error, Preset, Setup};
 use cdpc_machine::{render_report, PolicyKind};
 
 fn main() {
@@ -24,7 +24,11 @@ fn main() {
     });
     let cpus: usize = positional
         .get(1)
-        .map(|s| s.parse().expect("cpus must be a number"))
+        .map(|s| {
+            s.parse().unwrap_or_else(|_| {
+                exit_with_error(format_args!("cpus must be a number, not `{s}`"))
+            })
+        })
         .unwrap_or(8);
     let policy = match positional.get(2).map(String::as_str).unwrap_or("cdpc") {
         "page-coloring" | "pc" => PolicyKind::PageColoring,

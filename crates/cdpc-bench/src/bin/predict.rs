@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use cdpc_analyze::sarif::check_sarif_shape;
 use cdpc_analyze::{predict_program, reports_to_sarif, MachineModel, ProverPolicy};
-use cdpc_bench::{Preset, Setup};
+use cdpc_bench::{write_text, Preset, Setup};
 use cdpc_compiler::{compile, CompileOptions};
 use cdpc_machine::{diff_prediction, run_attributed, PolicyKind, RunConfig};
 use cdpc_obs::JsonValue;
@@ -157,8 +157,7 @@ fn main() {
     let text = doc.to_string_pretty();
     match &setup.predict {
         Some(path) => {
-            std::fs::write(path, &text)
-                .unwrap_or_else(|e| panic!("cannot write `{}`: {e}", path.display()));
+            write_text(path, &text);
             eprintln!("wrote {}", path.display());
         }
         None => println!("{text}"),
@@ -168,8 +167,7 @@ fn main() {
         let refs: Vec<&cdpc_analyze::Report> = sarif_reports.iter().collect();
         let log = reports_to_sarif(&refs);
         check_sarif_shape(&log).expect("generated SARIF is well-formed");
-        std::fs::write(path, log.to_string_pretty())
-            .unwrap_or_else(|e| panic!("cannot write `{}`: {e}", path.display()));
+        write_text(path, &log.to_string_pretty());
         eprintln!("wrote {}", path.display());
     }
 

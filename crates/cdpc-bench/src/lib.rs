@@ -215,8 +215,18 @@ fn numbered(path: &Path, idx: usize) -> PathBuf {
     path.with_file_name(name)
 }
 
-fn write_text(path: &Path, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write `{}`: {e}", path.display()));
+/// Writes an output file; on failure exits through [`exit_with_error`].
+pub fn write_text(path: &Path, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        exit_with_error(format_args!("cannot write `{}`: {e}", path.display()));
+    }
+}
+
+/// Prints `error: <msg>` as one line on stderr and exits with status 2:
+/// the outcome of every malformed command line and unwritable output path.
+pub fn exit_with_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 /// One experiment configuration: scale, observability outputs, and derived
@@ -300,13 +310,12 @@ impl Setup {
     /// [`ObsOptions`] flags) from command-line arguments; defaults to
     /// scale 8.
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed or unknown arguments.
+    /// Malformed or unknown arguments exit with status 2 and a one-line
+    /// message (see [`exit_with_error`]).
     pub fn from_args() -> Self {
         let (setup, positional) = Self::from_args_with_positionals();
         if let Some(first) = positional.first() {
-            panic!("unknown argument `{first}` ({FLAG_USAGE})");
+            exit_with_error(format_args!("unknown argument `{first}` ({FLAG_USAGE})"));
         }
         setup
     }
@@ -324,7 +333,9 @@ impl Setup {
         let mut i = 0;
         let value = |args: &[String], i: usize, flag: &str| -> String {
             args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value ({FLAG_USAGE})"))
+                .unwrap_or_else(|| {
+                    exit_with_error(format_args!("{flag} needs a value ({FLAG_USAGE})"))
+                })
                 .clone()
         };
         while i < args.len() {
@@ -332,8 +343,9 @@ impl Setup {
                 "--scale" => {
                     let v = value(&args, i, "--scale")
                         .parse::<u64>()
-                        .unwrap_or_else(|_| panic!("--scale needs a power-of-two value"));
-                    assert!(v.is_power_of_two(), "--scale must be a power of two");
+                        .ok()
+                        .filter(|v| v.is_power_of_two())
+                        .unwrap_or_else(|| exit_with_error("--scale needs a power-of-two value"));
                     setup.scale = v;
                     i += 2;
                 }
@@ -344,7 +356,9 @@ impl Setup {
                 "--threads" => {
                     let v = value(&args, i, "--threads")
                         .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("--threads needs a thread count (0 = auto)"));
+                        .unwrap_or_else(|_| {
+                            exit_with_error("--threads needs a thread count (0 = auto)")
+                        });
                     // 0 = auto-detect the host's available parallelism.
                     setup.threads = if v == 0 {
                         cdpc_machine::default_threads()
@@ -400,16 +414,18 @@ impl Setup {
                 "--sample-interval" => {
                     let v = value(&args, i, "--sample-interval")
                         .parse::<u64>()
-                        .unwrap_or_else(|_| panic!("--sample-interval needs a cycle count"));
-                    assert!(v > 0, "--sample-interval must be positive");
+                        .ok()
+                        .filter(|&v| v > 0)
+                        .unwrap_or_else(|| {
+                            exit_with_error("--sample-interval needs a positive cycle count")
+                        });
                     setup.obs.sample_interval = Some(v);
                     i += 2;
                 }
                 other => {
-                    assert!(
-                        !other.starts_with("--"),
-                        "unknown flag `{other}` ({FLAG_USAGE})"
-                    );
+                    if other.starts_with("--") {
+                        exit_with_error(format_args!("unknown flag `{other}` ({FLAG_USAGE})"));
+                    }
                     positional.push(other.to_string());
                     i += 1;
                 }
@@ -454,25 +470,6 @@ impl Setup {
         if let Some(hit) = self.compiled.borrow().get(&key) {
             return Arc::clone(hit);
         }
-        let compiled =
-            Arc::new(self.compile_bench_uncached(bench, preset, cpus, prefetch, aligned));
-        self.compiled
-            .borrow_mut()
-            .insert(key, Arc::clone(&compiled));
-        compiled
-    }
-
-    /// [`compile_bench`](Self::compile_bench) without the memo — always
-    /// runs the full compiler pipeline. The pipeline benchmark uses this
-    /// to price compilation itself rather than a map lookup.
-    pub fn compile_bench_uncached(
-        &self,
-        bench: &Benchmark,
-        preset: Preset,
-        cpus: usize,
-        prefetch: bool,
-        aligned: bool,
-    ) -> CompiledProgram {
         let program = (bench.build)(self.workload_scale());
         let mem = self.scaled_mem(preset, cpus);
         let mut opts = CompileOptions::new(cpus).with_l2_cache(mem.l2.size_bytes() as u64);
@@ -491,7 +488,11 @@ impl Setup {
                 program.name
             );
         }
-        compile(&program, &opts).expect("workload models always compile")
+        let compiled = Arc::new(compile(&program, &opts).expect("workload models always compile"));
+        self.compiled
+            .borrow_mut()
+            .insert(key, Arc::clone(&compiled));
+        compiled
     }
 
     /// Compiles one benchmark into a [`SweepJob`] for

@@ -31,11 +31,8 @@
 //!   this is the entire serialization stack.
 //! * [`trace`] — a Chrome-trace-event (Perfetto-loadable) timeline builder:
 //!   per-CPU stall lanes plus a bus lane.
-//! * [`selfprof`] — wall-clock self-profiling of the simulator itself
-//!   (refs/sec, peak event counts) and a tiny benchmark harness used by the
-//!   `cdpc-bench` micro-benchmarks.
-//! * [`rng`] — a SplitMix64 PRNG so tests and benches need no external
-//!   `rand` dependency.
+//! * [`rng`] — a SplitMix64 PRNG so tests and the repo benchmark need no
+//!   external `rand` dependency.
 //!
 //! The crate depends on nothing (not even other CDPC crates), so any layer
 //! of the stack can depend on it without cycles.
@@ -47,7 +44,6 @@ pub mod json;
 pub mod probe;
 pub mod rng;
 pub mod sampler;
-pub mod selfprof;
 pub mod trace;
 
 pub use attrib::AttributionProbe;
@@ -60,5 +56,4 @@ pub use probe::{
 };
 pub use rng::SplitMix64;
 pub use sampler::{IntervalSeries, Sample};
-pub use selfprof::{SelfProfile, Stopwatch};
 pub use trace::TraceProbe;
