@@ -7,6 +7,8 @@
 //! cargo run --release -p cdpc-bench --bin inspect -- swim 16 bin-hopping --scale 4
 //! cargo run --release -p cdpc-bench --bin inspect -- swim 8 cdpc \
 //!     --json report.json --trace trace.json --series series.csv
+//! cargo run --release -p cdpc-bench --bin inspect -- tomcatv 4 cdpc --scale 64 \
+//!     --attrib attrib.json --top
 //! ```
 
 use cdpc_bench::{exit_with_error, Preset, Setup};
@@ -16,7 +18,7 @@ fn main() {
     let (setup, positional) = Setup::from_args_with_positionals();
     let usage = "usage: inspect <benchmark> [cpus] [policy] [--scale N] \
                  [--json <path>] [--trace <path>] [--series <path>] \
-                 [--sample-interval <cycles>]\n  \
+                 [--sample-interval <cycles>] [--attrib <path>] [--top]\n  \
                  policies: page-coloring | bin-hopping | cdpc | cdpc-touch | dynamic-recolor";
     let bench_name = positional.first().cloned().unwrap_or_else(|| {
         eprintln!("{usage}");

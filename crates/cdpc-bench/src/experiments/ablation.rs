@@ -13,12 +13,12 @@
 //! * `none`        — all three off: pure "concatenate the segments and
 //!   deal colors round-robin".
 
-use cdpc_bench::{table, Preset, Setup};
+use super::*;
 use cdpc_core::HintOptions;
-use cdpc_machine::{PolicyKind, RunConfig, SweepJob};
+use cdpc_machine::{RunConfig, SweepJob};
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpus = 8;
     let variants: [(&str, HintOptions); 5] = [
         ("full", HintOptions::FULL),
@@ -53,14 +53,12 @@ fn main() {
         ),
     ];
 
-    println!(
+    writeln!(
+        out,
         "CDPC step ablation (1MB DM cache, {} CPUs, scale {})\n",
         cpus, setup.scale
     );
-    let benches: Vec<_> = ["tomcatv", "swim", "hydro2d"]
-        .iter()
-        .map(|&name| cdpc_workloads::by_name(name).expect("benchmark exists"))
-        .collect();
+    let benches = benches(&["tomcatv", "swim", "hydro2d"]);
     let mut jobs = Vec::new();
     for bench in &benches {
         let compiled = setup.compile_bench(bench, Preset::Base1MbDm, cpus, false, true);
@@ -74,8 +72,9 @@ fn main() {
     let mut reports = setup.run_jobs(&jobs).into_iter();
 
     for bench in &benches {
-        println!("== {} ==", bench.name);
+        writeln!(out, "== {} ==", bench.name);
         table::header(
+            &mut out,
             &["variant", "time", "conflict-stall", "vs full"],
             &[12, 10, 14, 8],
         );
@@ -85,7 +84,8 @@ fn main() {
             if label == "full" {
                 full_time = r.elapsed_cycles;
             }
-            println!(
+            writeln!(
+                out,
                 "{:>12} {:>10} {:>14} {:>8}",
                 label,
                 table::cycles(r.elapsed_cycles),
@@ -93,8 +93,12 @@ fn main() {
                 table::ratio(full_time as f64 / r.elapsed_cycles.max(1) as f64),
             );
         }
-        println!();
+        writeln!(out);
     }
-    println!("vs full > 1.00x would mean the ablated variant beats the full");
-    println!("algorithm — each step should be neutral-or-better to keep.");
+    writeln!(
+        out,
+        "vs full > 1.00x would mean the ablated variant beats the full\n\
+         algorithm — each step should be neutral-or-better to keep."
+    );
+    Output::text(out)
 }

@@ -1,35 +1,20 @@
 //! Lint the whole workload suite: run every `cdpc-analyze` static check
 //! (races, false sharing, color conflicts, structural audits) over every
-//! workload model at representative machine sizes, print the findings,
-//! and emit a JSON report.
+//! workload model at representative machine sizes, report the findings on
+//! stderr, and produce `results/lint_report.json`.
 //!
-//! ```text
-//! cargo run --release -p cdpc-bench --bin analyze
-//! cargo run --release -p cdpc-bench --bin analyze -- results/lint_report.json
-//! cargo run --release -p cdpc-bench --bin analyze -- --scale 4
-//! ```
-//!
-//! With a positional path the JSON report is written there; otherwise it
-//! goes to stdout. Exits nonzero if any workload has an `Error` diagnostic
-//! not covered by an `allow_lint` annotation — CI runs this as a gate.
+//! The entry fails (nonzero exit from `reproduce`) if any workload has an
+//! `Error` diagnostic not covered by an `allow_lint` annotation.
 
-use std::path::Path;
-
-use cdpc_bench::{lint_program, write_text, Preset, Setup};
+use super::*;
+use crate::lint_program;
 use cdpc_compiler::CompileOptions;
 use cdpc_obs::JsonValue;
 
 /// CPU counts the paper's experiments sweep; lint the extremes.
 const CPU_POINTS: [usize; 2] = [4, 16];
 
-fn main() {
-    let (setup, positional) = Setup::from_args_with_positionals();
-    let out = positional.first();
-    if positional.len() > 1 {
-        eprintln!("usage: analyze [out.json] [--scale N]");
-        std::process::exit(2);
-    }
-
+pub(super) fn run(setup: &Setup) -> Output {
     let mut reports = Vec::new();
     let mut errors = 0usize;
     let mut warns = 0usize;
@@ -82,17 +67,9 @@ fn main() {
     );
     doc.push("unallowed_errors", JsonValue::UInt(errors as u64));
     doc.push("reports", JsonValue::Array(reports));
-    let text = doc.to_string_pretty();
-    match out {
-        Some(path) => {
-            write_text(Path::new(path), &text);
-            eprintln!("wrote {path}");
-        }
-        None => println!("{text}"),
-    }
-
     eprintln!("lint: {errors} unallowed errors, {warns} warnings across the suite");
-    if errors > 0 {
-        std::process::exit(1);
+    Output {
+        bytes: vec![doc.to_string_pretty()],
+        failure: (errors > 0).then(|| format!("{errors} unallowed lint errors")),
     }
 }

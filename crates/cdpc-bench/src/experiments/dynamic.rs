@@ -15,13 +15,14 @@
 //! shootdowns) — supporting the paper's argument that compile-time
 //! knowledge beats run-time repair here.
 
-use cdpc_bench::{table, Preset, Setup};
-use cdpc_machine::{PolicyKind, RunConfig, SweepJob};
+use super::*;
+use cdpc_machine::{RunConfig, SweepJob};
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpus = 8;
-    println!(
+    writeln!(
+        out,
         "Dynamic recoloring vs CDPC (1MB DM cache, {} CPUs, scale {})\n",
         cpus, setup.scale
     );
@@ -31,10 +32,7 @@ fn main() {
         (PolicyKind::DynamicRecolor, 64),
         (PolicyKind::Cdpc, 0),
     ];
-    let benches: Vec<_> = ["tomcatv", "swim", "hydro2d", "su2cor"]
-        .iter()
-        .map(|&name| cdpc_workloads::by_name(name).expect("benchmark exists"))
-        .collect();
+    let benches = benches(&["tomcatv", "swim", "hydro2d", "su2cor"]);
     let mut jobs = Vec::new();
     for bench in &benches {
         let compiled = setup.compile_bench(bench, Preset::Base1MbDm, cpus, false, true);
@@ -49,8 +47,9 @@ fn main() {
     let mut reports = setup.run_jobs(&jobs).into_iter();
 
     for bench in &benches {
-        println!("== {} ==", bench.name);
+        writeln!(out, "== {} ==", bench.name);
         table::header(
+            &mut out,
             &["policy", "time", "conflict-stall", "recolorings", "vs PC"],
             &[16, 10, 14, 12, 8],
         );
@@ -65,7 +64,8 @@ fn main() {
             } else {
                 r.policy.clone()
             };
-            println!(
+            writeln!(
+                out,
                 "{:<16} {:>10} {:>14} {:>12} {:>8}",
                 label,
                 table::cycles(r.elapsed_cycles),
@@ -74,6 +74,7 @@ fn main() {
                 table::ratio(pc_time as f64 / r.elapsed_cycles.max(1) as f64),
             );
         }
-        println!();
+        writeln!(out);
     }
+    Output::text(out)
 }

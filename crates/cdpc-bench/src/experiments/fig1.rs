@@ -2,22 +2,21 @@
 //!
 //! The paper's Figure 1 sketches how a compiled application alternates
 //! between parallel regions (all processors), sequential regions (master
-//! computes, slaves spin), and barriers. This binary prints that structure
+//! computes, slaves spin), and barriers. This experiment prints that structure
 //! for any workload model — the compiled schedule, per-statement iteration
 //! partitioning, and the CDPC summary the compiler derived.
 
-use cdpc_bench::{Preset, Setup};
+use super::*;
 use cdpc_compiler::CompiledStmt;
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpus = 4;
-    for name in ["tomcatv", "apsi", "fpppp"] {
-        let bench = cdpc_workloads::by_name(name).expect("exists");
+    for bench in benches(&["tomcatv", "apsi", "fpppp"]) {
         let compiled = setup.compile_bench(&bench, Preset::Base1MbDm, cpus, false, true);
-        println!("== {} ({} CPUs) ==", compiled.name, cpus);
+        writeln!(out, "== {} ({} CPUs) ==", compiled.name, cpus);
         for phase in &compiled.phases {
-            println!("phase `{}` x{}:", phase.name, phase.count);
+            writeln!(out, "phase `{}` x{}:", phase.name, phase.count);
             for stmt in &phase.stmts {
                 match stmt {
                     CompiledStmt::Parallel { specs } => {
@@ -25,7 +24,7 @@ fn main() {
                             .iter()
                             .map(|s| format!("[{},{})", s.lo, s.hi))
                             .collect();
-                        println!("  PARALLEL  {}  -> barrier", ranges.join(" "));
+                        writeln!(out, "  PARALLEL  {}  -> barrier", ranges.join(" "));
                     }
                     CompiledStmt::Master { spec, suppressed } => {
                         let kind = if *suppressed {
@@ -33,7 +32,8 @@ fn main() {
                         } else {
                             "SEQUENTIAL"
                         };
-                        println!(
+                        writeln!(
+                            out,
                             "  {kind}  master runs [{},{}), slaves spin",
                             spec.lo, spec.hi
                         );
@@ -42,7 +42,8 @@ fn main() {
             }
         }
         let s = &compiled.summary;
-        println!(
+        writeln!(
+            out,
             "summary: {} arrays / {} partitionings / {} comm patterns / {} groups / {} shared\n",
             s.arrays.len(),
             s.partitionings.len(),
@@ -51,4 +52,5 @@ fn main() {
             s.shared_arrays.len()
         );
     }
+    Output::text(out)
 }

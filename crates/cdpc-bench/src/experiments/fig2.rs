@@ -11,38 +11,25 @@
 //! 3. memory system behavior as MCPI, split by miss class;
 //! 4. bus utilization, split into data / writeback / upgrade occupancy.
 
-use cdpc_bench::{table, Preset, Setup};
-use cdpc_machine::PolicyKind;
+use super::*;
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpu_counts = [1usize, 2, 4, 8, 16];
-    println!(
+    writeln!(
+        out,
         "Figure 2: workload characterization (1MB DM cache, page coloring, scale {})\n",
         setup.scale
     );
 
     let benches = cdpc_workloads::all();
-    let jobs: Vec<_> = benches
-        .iter()
-        .flat_map(|bench| {
-            cpu_counts.iter().map(|&cpus| {
-                setup.job(
-                    bench,
-                    Preset::Base1MbDm,
-                    cpus,
-                    PolicyKind::PageColoring,
-                    false,
-                    true,
-                )
-            })
-        })
-        .collect();
-    let mut reports = setup.run_jobs(&jobs).into_iter();
+    let configs = [(PolicyKind::PageColoring, false, true)];
+    let mut reports = sweep(setup, &[Preset::Base1MbDm], &benches, &cpu_counts, &configs);
 
     for bench in &benches {
-        println!("== {} ==", bench.name);
+        writeln!(out, "== {} ==", bench.name);
         table::header(
+            &mut out,
             &[
                 "cpus", "combined", "exec%", "mem%", "ovhd%", "| kern", "imbal", "seq", "suppr",
                 "sync", "| MCPI", "repl", "comm", "| bus",
@@ -57,8 +44,7 @@ fn main() {
             let repl_mcpi = r.stalls.replacement() as f64 / r.instructions.max(1) as f64;
             let comm_mcpi = (r.stalls.true_sharing + r.stalls.false_sharing) as f64
                 / r.instructions.max(1) as f64;
-            println!(
-                "{:>4} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7.3} {:>6.3} {:>6.3} {:>6}",
+            writeln!(out, "{:>4} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7.3} {:>6.3} {:>6.3} {:>6}",
                 cpus,
                 table::cycles(total),
                 table::pct(r.exec_cycles as f64 / total as f64),
@@ -75,6 +61,7 @@ fn main() {
                 table::pct(r.bus.utilization),
             );
         }
-        println!();
+        writeln!(out);
     }
+    Output::text(out)
 }

@@ -4,6 +4,7 @@
 //! partitioned between two CPUs on a machine with a four-color cache —
 //! showing the output of each of the five steps.
 
+use super::*;
 use cdpc_core::machine::MachineParams;
 use cdpc_core::ordering::{order_segments_within, order_sets};
 use cdpc_core::segments::{build_segments, group_into_sets};
@@ -12,13 +13,12 @@ use cdpc_core::summary::{
     PartitionPolicy,
 };
 use cdpc_core::{cyclic, hints::ColorHints};
-use cdpc_vm::addr::VirtAddr;
+use cdpc_vm::addr::{VirtAddr, Vpn};
 
-fn main() {
-    // Accept the shared flags (--scale, --threads, the obs outputs) like
-    // every other experiment binary; the walkthrough itself is a
-    // fixed-size example that runs no simulations.
-    let _ = cdpc_bench::Setup::from_args();
+/// The walkthrough is a fixed-size example that runs no simulations, so
+/// it ignores the setup.
+pub(super) fn run(_: &Setup) -> Output {
+    let mut out = Text::default();
     let page = 4096u64;
     let a = ArrayId(0);
     let b = ArrayId(1);
@@ -49,24 +49,28 @@ fn main() {
         shared_arrays: vec![],
     };
     let machine = MachineParams::new(2, page as usize, 4 * page as usize, 1);
-    println!("Figure 4: CDPC walkthrough — 2 CPUs, 2 arrays x 8 pages, 4 colors\n");
-
-    println!("(a) Step 1 — uniform access segments:");
+    writeln!(
+        out,
+        "Figure 4: CDPC walkthrough — 2 CPUs, 2 arrays x 8 pages, 4 colors\n\n\
+         (a) Step 1 — uniform access segments:"
+    );
     let segments = build_segments(&summary, &machine).expect("valid summary");
+    let name = |id| &summary.array(id).unwrap().name;
     for s in &segments {
-        println!(
-            "    array {} [{:>6}..{:>6})  procs {}",
-            summary.array(s.array).unwrap().name,
-            s.start.0,
-            s.end().0,
+        let (start, end) = (s.start.0, s.end().0);
+        writeln!(
+            out,
+            "    array {} [{start:>6}..{end:>6})  procs {}",
+            name(s.array),
             s.procs
         );
     }
 
-    println!("\n(b) Step 2 — uniform access sets, ordered:");
+    writeln!(out, "\n(b) Step 2 — uniform access sets, ordered:");
     let sets = order_sets(group_into_sets(segments));
     for set in &sets {
-        println!(
+        writeln!(
+            out,
             "    procs {}  ({} segments, {} bytes)",
             set.procs,
             set.segments.len(),
@@ -74,29 +78,39 @@ fn main() {
         );
     }
 
-    println!("\n(c) Steps 3-4 — segment ordering and cyclic page layout:");
+    writeln!(
+        out,
+        "\n(c) Steps 3-4 — segment ordering and cyclic page layout:"
+    );
     let mut sets = sets;
     for set in &mut sets {
         order_segments_within(set, &summary);
     }
     let order = cyclic::emit_page_order(&sets, &summary, &machine);
     for p in &order.placements {
-        println!(
-            "    array {} -> {} pages, first page gets color {}",
-            summary.array(p.array).unwrap().name,
-            p.pages,
-            p.start_color
+        let (array, pages, color) = (name(p.array), p.pages, p.start_color);
+        writeln!(
+            out,
+            "    array {array} -> {pages} pages, first page gets color {color}"
         );
     }
 
-    println!("\n(d) Step 5 — round-robin colors over the final order:");
+    writeln!(
+        out,
+        "\n(d) Step 5 — round-robin colors over the final order:"
+    );
     let hints = ColorHints::from_order(order, machine.colors());
     for (vpn, color) in hints.assignments() {
-        println!("    vpn {:>2} -> color {}", vpn.0, color.0);
+        writeln!(out, "    vpn {:>2} -> color {}", vpn.0, color.0);
     }
-    println!(
-        "\nThe starting pages of A (vpn 0) and B (vpn 8) now differ in color:\n    A starts at {:?}, B at {:?}",
-        hints.color_of(cdpc_vm::addr::Vpn(0)).unwrap(),
-        hints.color_of(cdpc_vm::addr::Vpn(8)).unwrap()
+    let (a0, b0) = (
+        hints.color_of(Vpn(0)).unwrap(),
+        hints.color_of(Vpn(8)).unwrap(),
     );
+    writeln!(
+        out,
+        "\nThe starting pages of A (vpn 0) and B (vpn 8) now differ in color:\n    \
+         A starts at {a0:?}, B at {b0:?}"
+    );
+    Output::text(out)
 }

@@ -8,44 +8,33 @@
 //! The tomcatv @4 CPUs row reproduces the headline interaction (paper:
 //! CDPC +29%, PF +24%, both +88%).
 
-use cdpc_bench::{table, Preset, Setup};
-use cdpc_machine::PolicyKind;
+use super::*;
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpu_counts = [1usize, 2, 4, 8, 16];
-    let apps = [
-        "tomcatv", "swim", "su2cor", "hydro2d", "mgrid", "applu", "turb3d",
-    ];
-    println!(
+    writeln!(
+        out,
         "Figure 8: CDPC x prefetching (1MB DM cache, scale {})\n",
         setup.scale
     );
 
-    let benches: Vec<_> = apps
-        .iter()
-        .map(|&name| cdpc_workloads::by_name(name).expect("benchmark exists"))
-        .collect();
+    let benches = benches(&[
+        "tomcatv", "swim", "su2cor", "hydro2d", "mgrid", "applu", "turb3d",
+    ]);
     // Four configurations per row: {PC, CDPC} x {no prefetch, prefetch}.
     let configs = [
-        (PolicyKind::PageColoring, false),
-        (PolicyKind::PageColoring, true),
-        (PolicyKind::Cdpc, false),
-        (PolicyKind::Cdpc, true),
+        (PolicyKind::PageColoring, false, true),
+        (PolicyKind::PageColoring, true, true),
+        (PolicyKind::Cdpc, false, true),
+        (PolicyKind::Cdpc, true, true),
     ];
-    let mut jobs = Vec::new();
-    for bench in &benches {
-        for &cpus in &cpu_counts {
-            for &(policy, prefetch) in &configs {
-                jobs.push(setup.job(bench, Preset::Base1MbDm, cpus, policy, prefetch, true));
-            }
-        }
-    }
-    let mut reports = setup.run_jobs(&jobs).into_iter();
+    let mut reports = sweep(setup, &[Preset::Base1MbDm], &benches, &cpu_counts, &configs);
 
     for bench in &benches {
-        println!("== {} ==", bench.name);
+        writeln!(out, "== {} ==", bench.name);
         table::header(
+            &mut out,
             &[
                 "cpus",
                 "PC",
@@ -63,7 +52,8 @@ fn main() {
             let pc_pf = reports.next().expect("one PC+PF report per row");
             let cd = reports.next().expect("one CDPC report per row");
             let cd_pf = reports.next().expect("one CDPC+PF report per row");
-            println!(
+            writeln!(
+                out,
                 "{:>4} {:>9} {:>9} {:>9} {:>9} {:>8} {:>9} {:>8}",
                 cpus,
                 table::cycles(pc.elapsed_cycles),
@@ -75,7 +65,11 @@ fn main() {
                 table::ratio(cd_pf.speedup_over(&pc)),
             );
         }
-        println!();
+        writeln!(out);
     }
-    println!("PF gain / CDPC gain / both = speedup over plain page coloring.");
+    writeln!(
+        out,
+        "PF gain / CDPC gain / both = speedup over plain page coloring."
+    );
+    Output::text(out)
 }

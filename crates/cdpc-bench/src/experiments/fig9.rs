@@ -9,13 +9,13 @@
 //! other; CDPC performs at least as well as the best of the two in most
 //! cases.
 
-use cdpc_bench::{table, Preset, Setup};
-use cdpc_machine::PolicyKind;
+use super::*;
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpu_counts = [1usize, 2, 4, 8];
-    println!(
+    writeln!(
+        out,
         "Figure 9: AlphaServer validation (4MB DM, 350MHz, scale {})\n",
         setup.scale
     );
@@ -24,24 +24,17 @@ fn main() {
     // Four configurations per row: bin hopping with unaligned data, bin
     // hopping, page coloring, and CDPC-over-bin-hopping.
     let configs = [
-        (PolicyKind::BinHopping, false),
-        (PolicyKind::BinHopping, true),
-        (PolicyKind::PageColoring, true),
-        (PolicyKind::CdpcTouch, true),
+        (PolicyKind::BinHopping, false, false),
+        (PolicyKind::BinHopping, false, true),
+        (PolicyKind::PageColoring, false, true),
+        (PolicyKind::CdpcTouch, false, true),
     ];
-    let mut jobs = Vec::new();
-    for bench in &benches {
-        for &cpus in &cpu_counts {
-            for &(policy, aligned) in &configs {
-                jobs.push(setup.job(bench, Preset::Alpha, cpus, policy, false, aligned));
-            }
-        }
-    }
-    let mut reports = setup.run_jobs(&jobs).into_iter();
+    let mut reports = sweep(setup, &[Preset::Alpha], &benches, &cpu_counts, &configs);
 
     for bench in &benches {
-        println!("== {} ==", bench.name);
+        writeln!(out, "== {} ==", bench.name);
         table::header(
+            &mut out,
             &[
                 "cpus", "BH-unal", "binhop", "pagecol", "CDPC", "CDPC/BH", "CDPC/PC",
             ],
@@ -52,7 +45,8 @@ fn main() {
             let bh = reports.next().expect("one BH report per row");
             let pc = reports.next().expect("one PC report per row");
             let cdpc = reports.next().expect("one CDPC report per row");
-            println!(
+            writeln!(
+                out,
                 "{:>4} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}",
                 cpus,
                 table::cycles(bh_u.elapsed_cycles),
@@ -63,6 +57,7 @@ fn main() {
                 table::ratio(cdpc.speedup_over(&pc)),
             );
         }
-        println!();
+        writeln!(out);
     }
+    Output::text(out)
 }

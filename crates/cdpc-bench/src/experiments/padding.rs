@@ -11,13 +11,13 @@
 //! cache line, half a page, and two pages, under both page coloring and
 //! bin hopping, against plain CDPC.
 
-use cdpc_bench::{table, Preset, Setup};
+use super::*;
 use cdpc_compiler::layout::LayoutMode;
 use cdpc_compiler::{compile, CompileOptions};
-use cdpc_machine::{PolicyKind, RunConfig, SweepJob};
+use cdpc_machine::{RunConfig, SweepJob};
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpus = 8;
     let bench = cdpc_workloads::by_name("tomcatv").expect("exists");
     let program = (bench.build)(setup.workload_scale());
@@ -31,11 +31,13 @@ fn main() {
         compile(&program, &opts).expect("model compiles")
     };
 
-    println!(
+    writeln!(
+        out,
         "Padding vs page mapping policy — tomcatv, {} CPUs, 1MB DM cache, scale {}\n",
         cpus, setup.scale
     );
     table::header(
+        &mut out,
         &["layout", "policy", "time", "conflict-stall"],
         &[16, 14, 10, 14],
     );
@@ -76,7 +78,8 @@ fn main() {
     for policy in policies {
         for (label, _) in variants {
             let r = reports.next().expect("one report per padding variant");
-            println!(
+            writeln!(
+                out,
                 "{:<16} {:<14} {:>10} {:>14}",
                 label,
                 policy.label(),
@@ -84,18 +87,23 @@ fn main() {
                 table::cycles(r.stalls.conflict),
             );
         }
-        println!();
+        writeln!(out);
     }
     let r = reports.next().expect("one CDPC reference report");
-    println!(
+    writeln!(
+        out,
         "{:<16} {:<14} {:>10} {:>14}",
         "aligned",
         "cdpc",
         table::cycles(r.elapsed_cycles),
         table::cycles(r.stalls.conflict),
     );
-    println!("\nExpected: pads smaller than a page shift colors under page coloring");
-    println!("(sub-page pads leave page colors unchanged, multi-page pads help);");
-    println!("under bin hopping *no* pad helps — colors follow fault order, not");
-    println!("addresses. CDPC beats every padding variant on both policies.");
+    writeln!(
+        out,
+        "\nExpected: pads smaller than a page shift colors under page coloring\n\
+         (sub-page pads leave page colors unchanged, multi-page pads help);\n\
+         under bin hopping *no* pad helps — colors follow fault order, not\n\
+         addresses. CDPC beats every padding variant on both policies."
+    );
+    Output::text(out)
 }

@@ -3,30 +3,24 @@
 //! For every workload, run the prover's interference equations (under the
 //! native page-coloring policy) *and* the full simulation with miss
 //! attribution, then diff the predicted hot `(array, color)` cells
-//! against the attribution tensor's conflict cells:
-//!
-//! ```text
-//! cargo run --release -p cdpc-bench --bin predict
-//! cargo run --release -p cdpc-bench --bin predict -- --scale 64 \
-//!     --predict results/predict_report.json --sarif out.sarif
-//! ```
+//! against the attribution tensor's conflict cells. Produces
+//! `results/predict_report.json` and every prover diagnostic as one SARIF
+//! 2.1.0 log, `results/predict.sarif`.
 //!
 //! The prover's contract is **zero false negatives**: every cell the
 //! simulator charges with conflict misses must have been predicted.
 //! Precision (how many predictions the oracle confirmed) is reported per
 //! workload; over-approximation costs precision, never soundness. The
-//! binary exits nonzero if recall drops below 1.0 on the paper's three
-//! headline workloads (tomcatv, swim, su2cor) — CI runs this as a gate
-//! and exact-diffs the JSON report. `--sarif <path>` additionally exports
-//! every prover diagnostic as one SARIF 2.1.0 log.
+//! entry fails (nonzero exit from `reproduce`) if recall drops below 1.0
+//! on the paper's three headline workloads (tomcatv, swim, su2cor).
 
 use std::collections::BTreeSet;
 
+use super::*;
 use cdpc_analyze::sarif::check_sarif_shape;
 use cdpc_analyze::{predict_program, reports_to_sarif, MachineModel, ProverPolicy};
-use cdpc_bench::{write_text, Preset, Setup};
 use cdpc_compiler::{compile, CompileOptions};
-use cdpc_machine::{diff_prediction, run_attributed, PolicyKind, RunConfig};
+use cdpc_machine::{diff_prediction, run_attributed, RunConfig};
 use cdpc_obs::JsonValue;
 
 /// Processor count for the validation runs (the paper's base machine).
@@ -57,8 +51,7 @@ fn ratio(r: f64) -> JsonValue {
     JsonValue::Float((r * 10_000.0).round() / 10_000.0)
 }
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
     let mut workloads = Vec::new();
     let mut sarif_reports = Vec::new();
     let mut gate_failures = Vec::new();
@@ -135,44 +128,24 @@ fn main() {
     agg.push("predicted_cells", JsonValue::UInt(total_predicted as u64));
     agg.push("oracle_cells", JsonValue::UInt(total_oracle as u64));
     agg.push("hits", JsonValue::UInt(total_hits as u64));
-    agg.push(
-        "recall",
-        ratio(if total_oracle == 0 {
+    let share = |of: usize| {
+        ratio(if of == 0 {
             1.0
         } else {
-            total_hits as f64 / total_oracle as f64
-        }),
-    );
-    agg.push(
-        "precision",
-        ratio(if total_predicted == 0 {
-            1.0
-        } else {
-            total_hits as f64 / total_predicted as f64
-        }),
-    );
+            total_hits as f64 / of as f64
+        })
+    };
+    agg.push("recall", share(total_oracle));
+    agg.push("precision", share(total_predicted));
     doc.push("aggregate", agg);
     doc.push("workloads", JsonValue::Array(workloads));
 
-    let text = doc.to_string_pretty();
-    match &setup.predict {
-        Some(path) => {
-            write_text(path, &text);
-            eprintln!("wrote {}", path.display());
-        }
-        None => println!("{text}"),
-    }
-
-    if let Some(path) = &setup.sarif {
-        let refs: Vec<&cdpc_analyze::Report> = sarif_reports.iter().collect();
-        let log = reports_to_sarif(&refs);
-        check_sarif_shape(&log).expect("generated SARIF is well-formed");
-        write_text(path, &log.to_string_pretty());
-        eprintln!("wrote {}", path.display());
-    }
-
-    if !gate_failures.is_empty() {
-        eprintln!("FAIL: false negatives on gated workloads: {gate_failures:?}");
-        std::process::exit(1);
+    let refs: Vec<&cdpc_analyze::Report> = sarif_reports.iter().collect();
+    let log = reports_to_sarif(&refs);
+    check_sarif_shape(&log).expect("generated SARIF is well-formed");
+    Output {
+        bytes: vec![doc.to_string_pretty(), log.to_string_pretty()],
+        failure: (!gate_failures.is_empty())
+            .then(|| format!("false negatives on gated workloads: {gate_failures:?}")),
     }
 }

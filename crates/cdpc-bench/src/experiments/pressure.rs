@@ -8,20 +8,22 @@
 //! allocator falls back to neighboring colors), and we track the hint
 //! honor rate against the conflict stall.
 
-use cdpc_bench::{table, Preset, Setup};
-use cdpc_machine::{PolicyKind, RunConfig, SweepJob};
+use super::*;
+use cdpc_machine::{RunConfig, SweepJob};
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpus = 8;
     let bench = cdpc_workloads::by_name("tomcatv").expect("exists");
     let compiled = setup.compile_bench(&bench, Preset::Base1MbDm, cpus, false, true);
 
-    println!(
+    writeln!(
+        out,
         "CDPC under memory pressure — tomcatv, {} CPUs, 1MB DM cache, scale {}\n",
         cpus, setup.scale
     );
     table::header(
+        &mut out,
         &["hogged", "honor rate", "time", "conflict-stall"],
         &[10, 10, 10, 14],
     );
@@ -46,7 +48,8 @@ fn main() {
 
     for &hog in &hogs {
         let r = reports.next().expect("one report per hog fraction");
-        println!(
+        writeln!(
+            out,
             "{:>10} {:>10} {:>10} {:>14}",
             table::pct(hog),
             table::pct(r.fault_stats.honor_rate()),
@@ -54,16 +57,21 @@ fn main() {
             table::cycles(r.stalls.conflict),
         );
     }
-    println!();
+    writeln!(out);
     let pc = reports.next().expect("one page-coloring reference report");
-    println!(
+    writeln!(
+        out,
         "{:>10} {:>10} {:>10} {:>14}   <- page coloring reference",
         "-",
         "-",
         table::cycles(pc.elapsed_cycles),
         table::cycles(pc.stalls.conflict),
     );
-    println!("\nHints degrade gracefully: the allocator falls back to the circularly");
-    println!("nearest free color, so even when most low-half colors are hogged,");
-    println!("CDPC stays ahead of the page-coloring baseline.");
+    writeln!(
+        out,
+        "\nHints degrade gracefully: the allocator falls back to the circularly\n\
+         nearest free color, so even when most low-half colors are hogged,\n\
+         CDPC stays ahead of the page-coloring baseline."
+    );
+    Output::text(out)
 }

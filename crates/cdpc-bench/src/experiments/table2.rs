@@ -8,67 +8,44 @@
 //! mean beats bin hopping (paper: by 8%) and page coloring (paper: by
 //! 20%), and per-benchmark winners match the paper's.
 
-use cdpc_bench::{table, Preset, Setup};
-use cdpc_machine::{geometric_mean, PolicyKind};
+use super::*;
+use cdpc_machine::geometric_mean;
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpus = 8;
-    println!(
-        "Table 2: AlphaServer-class machine, {} CPUs, scale {} (ratio = speedup over\nuniprocessor page-coloring reference)\n",
-        cpus, setup.scale
+    writeln!(
+        out,
+        "Table 2: AlphaServer-class machine, {cpus} CPUs, scale {} (ratio = speedup over\n\
+         uniprocessor page-coloring reference)\n",
+        setup.scale
     );
-    table::header(
-        &[
-            "benchmark",
-            "binhop",
-            "pagecol",
-            "CDPC",
-            "r(BH)",
-            "r(PC)",
-            "r(CDPC)",
-        ],
-        &[14, 9, 9, 9, 7, 7, 7],
-    );
+    let cols = [
+        "benchmark",
+        "binhop",
+        "pagecol",
+        "CDPC",
+        "r(BH)",
+        "r(PC)",
+        "r(CDPC)",
+    ];
+    table::header(&mut out, &cols, &[14, 9, 9, 9, 7, 7, 7]);
 
     let benches = cdpc_workloads::all();
     // Per benchmark: the uniprocessor page-coloring reference, then the
     // three policies at the full CPU count.
-    let mut jobs = Vec::new();
-    for bench in &benches {
-        jobs.push(setup.job(
-            bench,
-            Preset::Alpha,
-            1,
-            PolicyKind::PageColoring,
-            false,
-            true,
-        ));
-        jobs.push(setup.job(
-            bench,
-            Preset::Alpha,
-            cpus,
-            PolicyKind::BinHopping,
-            false,
-            true,
-        ));
-        jobs.push(setup.job(
-            bench,
-            Preset::Alpha,
-            cpus,
-            PolicyKind::PageColoring,
-            false,
-            true,
-        ));
-        jobs.push(setup.job(
-            bench,
-            Preset::Alpha,
-            cpus,
-            PolicyKind::CdpcTouch,
-            false,
-            true,
-        ));
-    }
+    let runs = [
+        (1, PolicyKind::PageColoring),
+        (cpus, PolicyKind::BinHopping),
+        (cpus, PolicyKind::PageColoring),
+        (cpus, PolicyKind::CdpcTouch),
+    ];
+    let jobs: Vec<_> = benches
+        .iter()
+        .flat_map(|bench| {
+            runs.map(|(n, policy)| setup.job(bench, Preset::Alpha, n, policy, false, true))
+        })
+        .collect();
     let mut reports = setup.run_jobs(&jobs).into_iter();
 
     let mut ratios = (Vec::new(), Vec::new(), Vec::new());
@@ -85,7 +62,8 @@ fn main() {
             pc.ratio(reference),
             cdpc.ratio(reference),
         );
-        println!(
+        writeln!(
+            out,
             "{:<14} {:>9} {:>9} {:>9} {:>7.2} {:>7.2} {:>7.2}",
             bench.name,
             table::cycles(bh.elapsed_cycles),
@@ -104,14 +82,17 @@ fn main() {
         geometric_mean(&ratios.1),
         geometric_mean(&ratios.2),
     );
-    println!("{}", "-".repeat(66));
-    println!(
+    writeln!(out, "{}", "-".repeat(66));
+    writeln!(
+        out,
         "{:<14} {:>9} {:>9} {:>9} {:>7.2} {:>7.2} {:>7.2}",
         "geomean", "", "", "", gb, gp, gc
     );
-    println!(
+    writeln!(
+        out,
         "\nCDPC vs bin hopping: {:+.1}%   CDPC vs page coloring: {:+.1}%   (paper: +8% / +20%)",
         (gc / gb - 1.0) * 100.0,
         (gc / gp - 1.0) * 100.0
     );
+    Output::text(out)
 }

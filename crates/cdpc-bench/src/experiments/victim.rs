@@ -8,13 +8,14 @@
 //! processor's sparse pages *use* the idle regions of the cache — only a
 //! mapping policy can.
 
-use cdpc_bench::{table, Preset, Setup};
-use cdpc_machine::{PolicyKind, RunConfig, SweepJob};
+use super::*;
+use cdpc_machine::{RunConfig, SweepJob};
 
-fn main() {
-    let setup = Setup::from_args();
+pub(super) fn run(setup: &Setup) -> Output {
+    let mut out = Text::default();
     let cpus = 8;
-    println!(
+    writeln!(
+        out,
         "Victim cache vs CDPC (1MB DM cache, {} CPUs, scale {})\n",
         cpus, setup.scale
     );
@@ -25,10 +26,7 @@ fn main() {
         ("CDPC", 0, PolicyKind::Cdpc),
         ("CDPC + VC(8)", 8, PolicyKind::Cdpc),
     ];
-    let benches: Vec<_> = ["tomcatv", "swim", "hydro2d"]
-        .iter()
-        .map(|&name| cdpc_workloads::by_name(name).expect("benchmark exists"))
-        .collect();
+    let benches = benches(&["tomcatv", "swim", "hydro2d"]);
     let mut jobs = Vec::new();
     for bench in &benches {
         let compiled = setup.compile_bench(bench, Preset::Base1MbDm, cpus, false, true);
@@ -41,8 +39,9 @@ fn main() {
     let mut reports = setup.run_jobs(&jobs).into_iter();
 
     for bench in &benches {
-        println!("== {} ==", bench.name);
+        writeln!(out, "== {} ==", bench.name);
         table::header(
+            &mut out,
             &["config", "time", "conflict-stall", "victim hits", "vs PC"],
             &[16, 10, 14, 12, 8],
         );
@@ -52,7 +51,8 @@ fn main() {
             if label == "PC" {
                 pc_time = r.elapsed_cycles;
             }
-            println!(
+            writeln!(
+                out,
                 "{:<16} {:>10} {:>14} {:>12} {:>8}",
                 label,
                 table::cycles(r.elapsed_cycles),
@@ -61,9 +61,13 @@ fn main() {
                 table::ratio(pc_time as f64 / r.elapsed_cycles.max(1) as f64),
             );
         }
-        println!();
+        writeln!(out);
     }
-    println!("Expected: victim caches trim the worst ping-pongs under page coloring");
-    println!("but fall far short of CDPC; adding one on top of CDPC changes little");
-    println!("(there is nothing left to absorb).");
+    writeln!(
+        out,
+        "Expected: victim caches trim the worst ping-pongs under page coloring\n\
+         but fall far short of CDPC; adding one on top of CDPC changes little\n\
+         (there is nothing left to absorb)."
+    );
+    Output::text(out)
 }

@@ -1,12 +1,14 @@
-//! Experiment harness: shared plumbing for the binaries that regenerate
-//! every table and figure of the paper (see `DESIGN.md` section 4 for the
-//! experiment index and `EXPERIMENTS.md` for recorded results).
+//! Experiment harness: the [`experiments`] registry that regenerates every
+//! table and figure of the paper (see `DESIGN.md` section 4 for the
+//! experiment index and `EXPERIMENTS.md` for recorded results), and the
+//! shared [`Setup`] it runs on.
 //!
-//! Run an experiment with, e.g.:
+//! Run one experiment, or regenerate all of `results/`, with:
 //!
 //! ```text
-//! cargo run --release -p cdpc-bench --bin fig6
-//! cargo run --release -p cdpc-bench --bin fig6 -- --scale 4   # bigger machine
+//! cargo run --release -p cdpc-bench --bin reproduce -- fig6
+//! cargo run --release -p cdpc-bench --bin reproduce -- fig6 --scale 4   # bigger machine
+//! cargo run --release -p cdpc-bench --bin reproduce -- --threads 2      # every file in results/
 //! ```
 //!
 //! All experiments accept `--scale <power-of-two>` (default 8): data sets,
@@ -22,14 +24,14 @@
 //! `--sample-interval <cycles>` sets the series' window length.
 //! `--attrib <path>` writes a per-array/per-color miss-attribution JSON
 //! report plus a self-contained HTML rendering next to it, and `--top`
-//! prints the attribution's terminal summary after each run. The
-//! dedicated `attrib` binary runs a single benchmark with attribution on.
+//! prints the attribution's terminal summary after each run. The `inspect`
+//! binary runs a single (benchmark, CPU count, policy) combination.
 //!
 //! Two analysis flags hook in the `cdpc-analyze` crate: `--lint` runs the
 //! static lints on every compiled workload (failing on unallowed `Error`
 //! diagnostics), and `--sanitize` shadows every simulation with the
-//! fail-fast MESI coherence sanitizer. The standalone `analyze` binary
-//! lints the whole workload suite and emits a JSON report.
+//! fail-fast MESI coherence sanitizer. The `analyze` entry lints the whole
+//! workload suite into a JSON report.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -48,6 +50,8 @@ use cdpc_memsim::{CacheConfig, MemConfig};
 use cdpc_obs::{AttributionProbe, IntervalSeries, JsonValue, TraceProbe};
 use cdpc_workloads::spec::Scale;
 use cdpc_workloads::Benchmark;
+
+pub mod experiments;
 
 /// The machine presets used by the paper's experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,14 +83,13 @@ impl Preset {
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
 
 const FLAG_USAGE: &str = "supported flags: --scale N, --full, --threads N (0 = auto), \
-                          --cache <dir>, --no-cache, --lint, --sanitize, --predict <path>, \
-                          --sarif <path>, --json <path>, \
+                          --cache <dir>, --no-cache, --lint, --sanitize, --json <path>, \
                           --trace <path>, --series <path>, --sample-interval <cycles>, --attrib <path>, --top";
 
 /// Observability outputs requested on the command line, shared by every
-/// experiment binary via [`Setup::from_args`].
+/// experiment via [`Setup::from_args_with_positionals`].
 ///
-/// One binary invocation may execute many simulation runs (a figure sweeps
+/// One invocation may execute many simulation runs (a figure sweeps
 /// benchmarks × policies). The JSON file is rewritten after every run with
 /// all reports so far (`{"runs": [...]}`); trace and series files are
 /// written per run, with a `-N` suffix inserted before the extension for
@@ -116,19 +119,6 @@ pub struct ObsOptions {
     /// Runs recorded so far in this process (numbers the output files).
     runs: Cell<usize>,
 }
-
-impl PartialEq for ObsOptions {
-    fn eq(&self, other: &Self) -> bool {
-        self.json == other.json
-            && self.trace == other.trace
-            && self.series == other.series
-            && self.sample_interval == other.sample_interval
-            && self.attrib == other.attrib
-            && self.top == other.top
-    }
-}
-
-impl Eq for ObsOptions {}
 
 impl ObsOptions {
     /// True when any observability output was requested — the signal for
@@ -249,13 +239,6 @@ pub struct Setup {
     /// [`SanitizerProbe`](cdpc_analyze::SanitizerProbe) (fail-fast MESI
     /// invariant checks) and validate coherence at phase boundaries.
     pub sanitize: bool,
-    /// `--predict <path>`: where the `predict` binary writes its
-    /// prediction-vs-simulation JSON report (other binaries parse but
-    /// ignore the flag, so one flag vocabulary serves the whole suite).
-    pub predict: Option<PathBuf>,
-    /// `--sarif <path>`: where analysis binaries export their diagnostics
-    /// as a SARIF 2.1.0 log.
-    pub sarif: Option<PathBuf>,
     /// `--cache <dir>` (or the `CDPC_CACHE_DIR` environment variable):
     /// root of the persistent content-addressed result cache consulted by
     /// [`run_jobs`](Self::run_jobs) for jobs without observation
@@ -267,22 +250,6 @@ pub struct Setup {
     /// point that runs it shares the `Arc`.
     compiled: RefCell<HashMap<String, Arc<CompiledProgram>>>,
 }
-
-impl PartialEq for Setup {
-    fn eq(&self, other: &Self) -> bool {
-        // The compilation memo is a derived cache, not configuration.
-        self.scale == other.scale
-            && self.threads == other.threads
-            && self.obs == other.obs
-            && self.lint == other.lint
-            && self.sanitize == other.sanitize
-            && self.predict == other.predict
-            && self.sarif == other.sarif
-            && self.cache == other.cache
-    }
-}
-
-impl Eq for Setup {}
 
 impl Default for Setup {
     fn default() -> Self {
@@ -299,29 +266,18 @@ impl Setup {
             obs: ObsOptions::default(),
             lint: false,
             sanitize: false,
-            predict: None,
-            sarif: None,
             cache: None,
             compiled: RefCell::new(HashMap::new()),
         }
     }
 
     /// Parses the shared flags (`--scale N`, `--full`, and the
-    /// [`ObsOptions`] flags) from command-line arguments; defaults to
-    /// scale 8.
+    /// [`ObsOptions`] flags) from command-line arguments, defaulting to
+    /// scale 8, and collects the non-flag arguments (experiment names for
+    /// `reproduce`, the run for `inspect`).
     ///
-    /// Malformed or unknown arguments exit with status 2 and a one-line
+    /// Malformed or unknown flags exit with status 2 and a one-line
     /// message (see [`exit_with_error`]).
-    pub fn from_args() -> Self {
-        let (setup, positional) = Self::from_args_with_positionals();
-        if let Some(first) = positional.first() {
-            exit_with_error(format_args!("unknown argument `{first}` ({FLAG_USAGE})"));
-        }
-        setup
-    }
-
-    /// Like [`from_args`](Self::from_args), but collects non-flag
-    /// arguments for binaries with positional parameters (e.g. `inspect`).
     pub fn from_args_with_positionals() -> (Self, Vec<String>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut setup = Setup {
@@ -382,14 +338,6 @@ impl Setup {
                 "--sanitize" => {
                     setup.sanitize = true;
                     i += 1;
-                }
-                "--predict" => {
-                    setup.predict = Some(PathBuf::from(value(&args, i, "--predict")));
-                    i += 2;
-                }
-                "--sarif" => {
-                    setup.sarif = Some(PathBuf::from(value(&args, i, "--sarif")));
-                    i += 2;
                 }
                 "--json" => {
                     setup.obs.json = Some(PathBuf::from(value(&args, i, "--json")));
@@ -609,61 +557,13 @@ impl Setup {
 
 /// Runs the `cdpc-analyze` static lints on a workload model as `opts`
 /// would compile it for the `mem` machine — the shared entry point of the
-/// `--lint` flag and the `analyze` binary.
+/// `--lint` flag and the `analyze` experiment.
 pub fn lint_program(
     program: &Program,
     opts: &CompileOptions,
     mem: &MemConfig,
 ) -> cdpc_analyze::Report {
     cdpc_analyze::analyze_program(program, opts, &cdpc_analyze::MachineModel::from_mem(mem))
-}
-
-/// Collects the set of virtual (data) pages each processor touches in the
-/// distributed loops of a compiled program — the raw material of the
-/// paper's Figures 3 and 5.
-pub fn page_access_sets(
-    compiled: &CompiledProgram,
-    page_size: u64,
-) -> Vec<std::collections::BTreeSet<u64>> {
-    use cdpc_compiler::trace::TraceOp;
-    let mut sets = vec![std::collections::BTreeSet::new(); compiled.num_cpus];
-    for phase in &compiled.phases {
-        for stmt in &phase.stmts {
-            if let cdpc_compiler::CompiledStmt::Parallel { specs } = stmt {
-                for (cpu, spec) in specs.iter().enumerate() {
-                    for op in spec.ops() {
-                        if let TraceOp::Load(va) | TraceOp::Store(va) = op {
-                            sets[cpu].insert(va.0 / page_size);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    sets
-}
-
-/// Renders an ASCII access-pattern plot: one row per CPU, one column per
-/// bucket of `positions` (already in the desired order), `#` where the CPU
-/// touches any page of the bucket.
-pub fn render_access_plot(
-    positions: &[u64],
-    sets: &[std::collections::BTreeSet<u64>],
-    width: usize,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let n = positions.len().max(1);
-    let bucket = n.div_ceil(width).max(1);
-    for (cpu, touched) in sets.iter().enumerate() {
-        let _ = write!(out, "cpu{cpu:<2} |");
-        for chunk in positions.chunks(bucket) {
-            let hit = chunk.iter().any(|p| touched.contains(p));
-            out.push(if hit { '#' } else { '.' });
-        }
-        out.push('\n');
-    }
-    out
 }
 
 fn scale_l1(l1: CacheConfig, f: usize) -> CacheConfig {
@@ -676,16 +576,28 @@ fn scale_l1(l1: CacheConfig, f: usize) -> CacheConfig {
     )
 }
 
-/// Text-table helpers shared by the experiment binaries.
+/// Text-table helpers shared by the experiments.
 pub mod table {
-    /// Prints a header row followed by a rule.
-    pub fn header(cols: &[&str], widths: &[usize]) {
+    /// An experiment's text output. Its inherent `write_fmt` makes
+    /// `write!`/`writeln!` append to it with no `Result` to handle.
+    #[derive(Debug, Default)]
+    pub struct Text(pub String);
+
+    impl Text {
+        /// Appends formatted text (the method `write!` expands to).
+        pub fn write_fmt(&mut self, args: std::fmt::Arguments) {
+            std::fmt::Write::write_fmt(&mut self.0, args).expect("a String accepts any write");
+        }
+    }
+
+    /// Writes a header row followed by a rule.
+    pub fn header(out: &mut Text, cols: &[&str], widths: &[usize]) {
         let mut line = String::new();
         for (c, w) in cols.iter().zip(widths) {
             line.push_str(&format!("{c:>w$} "));
         }
-        println!("{line}");
-        println!("{}", "-".repeat(line.len()));
+        writeln!(out, "{line}");
+        writeln!(out, "{}", "-".repeat(line.len()));
     }
 
     /// Formats a ratio to two decimals with an `x` suffix.

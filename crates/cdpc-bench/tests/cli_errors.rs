@@ -1,6 +1,7 @@
-//! Malformed command lines and unwritable output paths end the experiment
-//! binaries with exit status 2 and a single `error: …` line on stderr,
-//! never with a panic.
+//! Malformed command lines and unwritable output paths end `reproduce` and
+//! `inspect` with exit status 2 and a single `error: …` line on stderr,
+//! never with a panic. No case here may reach `reproduce`'s no-name mode
+//! with valid flags: that would rewrite `results/`.
 
 use std::path::Path;
 use std::process::Command;
@@ -26,22 +27,48 @@ fn assert_usage_error(bin: &str, args: &[&str], expect: &str) {
 
 #[test]
 fn malformed_shared_flags_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_table1");
+    let bin = env!("CARGO_BIN_EXE_reproduce");
     let cases: [(&[&str], &str); 7] = [
-        (&["--bogus"], "unknown flag `--bogus`"),
-        (&["--scale"], "--scale needs a value"),
-        (&["--scale", "3"], "--scale needs a power-of-two value"),
-        (&["--scale", "eight"], "--scale needs a power-of-two value"),
+        (&["table1", "--bogus"], "unknown flag `--bogus`"),
+        (&["table1", "--scale"], "--scale needs a value"),
+        (
+            &["table1", "--scale", "3"],
+            "--scale needs a power-of-two value",
+        ),
+        (
+            &["table1", "--scale", "eight"],
+            "--scale needs a power-of-two value",
+        ),
         (&["--threads", "many"], "--threads needs a thread count"),
         (
-            &["--sample-interval", "0"],
+            &["table1", "--sample-interval", "0"],
             "--sample-interval needs a positive",
         ),
-        (&["stray"], "unknown argument `stray`"),
+        (
+            &["table1", "--predict", "p.json"],
+            "unknown flag `--predict`",
+        ),
     ];
     for (args, expect) in cases {
         assert_usage_error(bin, args, expect);
     }
+}
+
+#[test]
+fn reproduce_rejects_unknown_names_and_no_name_flags() {
+    let bin = env!("CARGO_BIN_EXE_reproduce");
+    // Every name is checked before any experiment runs.
+    assert_usage_error(
+        bin,
+        &["table1", "fig10"],
+        "unknown experiment `fig10` (valid: table1, fig1,",
+    );
+    assert_usage_error(
+        bin,
+        &["--threads", "2", "--scale", "64"],
+        "accepts only --threads, not `--scale`",
+    );
+    assert_usage_error(bin, &["--top"], "accepts only --threads, not `--top`");
 }
 
 #[test]
@@ -52,7 +79,7 @@ fn malformed_positionals_exit_2() {
         "cpus must be a number",
     );
     assert_usage_error(
-        env!("CARGO_BIN_EXE_attrib"),
+        env!("CARGO_BIN_EXE_inspect"),
         &["tomcatv", "4", "--scale", "5"],
         "--scale needs a power-of-two value",
     );
