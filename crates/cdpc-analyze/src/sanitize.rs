@@ -25,10 +25,12 @@
 //! sole-owner invariant across the whole shadow — an O(lines) safety net
 //! against event orderings the incremental checks could miss.
 
-use cdpc_core::fastmap::{FxMap64, FxSet64};
+use std::collections::{HashMap, HashSet};
+
+use cdpc_core::FxBuildHasher;
 use cdpc_obs::{LineState, Probe};
 
-use crate::diag::{Diagnostic, Location, Report, Severity};
+use crate::diag::{Diagnostic, Location, Severity};
 
 /// Rule id: two owned (M/E) copies, or an owner alongside sharers.
 pub const RULE_MULTIPLE_OWNERS: &str = "sanitize/multiple-owners";
@@ -54,12 +56,12 @@ const MODIFIED: u64 = 3;
 pub struct SanitizerProbe {
     num_cpus: usize,
     /// line address → packed per-CPU state (2 bits each).
-    shadow: FxMap64<u64>,
+    shadow: HashMap<u64, u64, FxBuildHasher>,
     /// `line_addr << 5 | cpu` for prefetches issued but not yet
     /// completed.
-    inflight: FxSet64,
+    inflight: HashSet<u64, FxBuildHasher>,
     /// Physical page bases flushed and not yet remapped.
-    flushed: FxSet64,
+    flushed: HashSet<u64, FxBuildHasher>,
     /// Page size learned from the first flush event (0 = none seen).
     page_bytes: u64,
     fail_fast: bool,
@@ -81,9 +83,9 @@ impl SanitizerProbe {
         assert!((1..=32).contains(&num_cpus), "1..=32 CPUs supported");
         SanitizerProbe {
             num_cpus,
-            shadow: FxMap64::new(),
-            inflight: FxSet64::new(),
-            flushed: FxSet64::new(),
+            shadow: Default::default(),
+            inflight: Default::default(),
+            flushed: Default::default(),
             page_bytes: 0,
             fail_fast: true,
             violations: Vec::new(),
@@ -124,13 +126,6 @@ impl SanitizerProbe {
         self.sweeps
     }
 
-    /// Moves the collected violations into a [`Report`].
-    pub fn drain_into(&mut self, report: &mut Report) {
-        for d in self.violations.drain(..) {
-            report.push(d);
-        }
-    }
-
     fn state_of(word: u64, cpu: usize) -> u64 {
         (word >> (2 * cpu)) & 0b11
     }
@@ -158,7 +153,7 @@ impl SanitizerProbe {
     fn sweep(&mut self) {
         self.sweeps += 1;
         let mut bad: Option<(u64, usize)> = None;
-        for (line, &word) in self.shadow.iter() {
+        for (&line, &word) in self.shadow.iter() {
             let mut holders = 0usize;
             let mut owners = 0usize;
             for cpu in 0..self.num_cpus {
@@ -191,8 +186,8 @@ impl SanitizerProbe {
 
 impl Probe for SanitizerProbe {
     fn on_line_state(&mut self, cpu: usize, line_addr: u64, state: LineState) {
-        self.inflight.remove(inflight_key(line_addr, cpu));
-        let word = self.shadow.get(line_addr).copied().unwrap_or(0);
+        self.inflight.remove(&inflight_key(line_addr, cpu));
+        let word = self.shadow.get(&line_addr).copied().unwrap_or(0);
         let others = word & !(0b11 << (2 * cpu));
         let encoded = match state {
             LineState::Invalid => ABSENT,
@@ -201,7 +196,7 @@ impl Probe for SanitizerProbe {
             LineState::Modified => MODIFIED,
         };
         if encoded != ABSENT {
-            if self.page_bytes > 0 && self.flushed.contains(line_addr & !(self.page_bytes - 1)) {
+            if self.page_bytes > 0 && self.flushed.contains(&(line_addr & !(self.page_bytes - 1))) {
                 self.violate(
                     RULE_FLUSHED_ACCESS,
                     format!(
@@ -239,7 +234,7 @@ impl Probe for SanitizerProbe {
         }
         let new_word = others | (encoded << (2 * cpu));
         if new_word == 0 {
-            self.shadow.remove(line_addr);
+            self.shadow.remove(&line_addr);
         } else {
             self.shadow.insert(line_addr, new_word);
         }
@@ -250,7 +245,7 @@ impl Probe for SanitizerProbe {
         self.page_bytes = page_bytes;
         let mut line = page_base;
         while line < page_base + page_bytes {
-            if let Some(&word) = self.shadow.get(line) {
+            if let Some(&word) = self.shadow.get(&line) {
                 if word != 0 {
                     let holder = (0..self.num_cpus)
                         .find(|&c| Self::state_of(word, c) != ABSENT)

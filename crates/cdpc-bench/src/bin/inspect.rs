@@ -13,6 +13,7 @@
 
 use cdpc_bench::{exit_with_error, Preset, Setup};
 use cdpc_machine::{render_report, PolicyKind};
+use cdpc_memsim::MAX_CPUS;
 
 fn main() {
     let (setup, positional) = Setup::from_args_with_positionals();
@@ -32,6 +33,9 @@ fn main() {
             })
         })
         .unwrap_or(8);
+    if !(1..=MAX_CPUS).contains(&cpus) {
+        exit_with_error(format_args!("cpus must be in 1..={MAX_CPUS}, not {cpus}"));
+    }
     let policy = match positional.get(2).map(String::as_str).unwrap_or("cdpc") {
         "page-coloring" | "pc" => PolicyKind::PageColoring,
         "bin-hopping" | "bh" => PolicyKind::BinHopping,

@@ -429,12 +429,13 @@ impl Setup {
             if !report.diagnostics.is_empty() {
                 eprint!("{}", report.render());
             }
-            assert!(
-                !report.has_errors(),
-                "`{}` failed lints (diagnostics above); annotate the model with \
-                 `allow_lint` if the behavior is intended",
-                program.name
-            );
+            if report.has_errors() {
+                exit_with_error(format_args!(
+                    "`{}` failed lints (diagnostics above); annotate the model with \
+                     `allow_lint` if the behavior is intended",
+                    program.name
+                ));
+            }
         }
         let compiled = Arc::new(compile(&program, &opts).expect("workload models always compile"));
         self.compiled

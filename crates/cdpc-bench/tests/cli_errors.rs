@@ -78,6 +78,13 @@ fn malformed_positionals_exit_2() {
         &["tomcatv", "eight"],
         "cpus must be a number",
     );
+    for cpus in ["0", "33", "65"] {
+        assert_usage_error(
+            env!("CARGO_BIN_EXE_inspect"),
+            &["tomcatv", cpus],
+            "cpus must be in 1..=32",
+        );
+    }
     assert_usage_error(
         env!("CARGO_BIN_EXE_inspect"),
         &["tomcatv", "4", "--scale", "5"],

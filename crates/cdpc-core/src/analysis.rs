@@ -14,8 +14,8 @@
 //!   pages touch at all (the under-utilization of Figure 3 shows up as a
 //!   low value here).
 //!
-//! The experiment binaries use this to explain *why* a mapping performs
-//! the way it does without re-running the simulator.
+//! The `reproduce` experiments use this to explain *why* a mapping
+//! performs the way it does without re-running the simulator.
 
 use std::collections::BTreeMap;
 

@@ -21,12 +21,12 @@
 
 use std::cmp::Reverse;
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use cdpc_compiler::trace::TraceOp;
 use cdpc_compiler::{CompiledProgram, CompiledStmt};
 use cdpc_core::hints::HintOptions;
-use cdpc_core::{generate_hints_with, MachineParams};
+use cdpc_core::{generate_hints_with, FxBuildHasher, MachineParams};
 use cdpc_memsim::{AccessKind, CpuStats, MemConfig, MemStats, MemorySystem};
 use cdpc_obs::{AttributionProbe, HintOutcome, IntervalSeries, NullProbe, Probe, Sample};
 use cdpc_vm::addr::{Color, ColorSpace, PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
@@ -245,7 +245,7 @@ struct Sim<Q: Probe> {
     /// Dynamic recoloring state: per-page conflict counters, per-color
     /// mapped-page loads, and the number of recolorings performed.
     dynamic: bool,
-    conflict_counts: cdpc_core::fastmap::FxMap64<u32>,
+    conflict_counts: HashMap<u64, u32, FxBuildHasher>,
     color_loads: Vec<u32>,
     recolorings: u64,
     // Per-phase accumulators (reset at phase boundaries).
@@ -381,7 +381,7 @@ impl<Q: Probe> Sim<Q> {
     /// conflict miss.
     #[cold]
     fn note_conflict_miss(&mut self, cpu: usize, vpn: Vpn) {
-        let count = self.conflict_counts.entry_or_insert_with(vpn.0, || 0);
+        let count = self.conflict_counts.entry(vpn.0).or_insert(0);
         *count += 1;
         if *count >= self.cfg.recolor_threshold {
             *count = 0;
@@ -793,7 +793,7 @@ pub fn run_observed<P: Probe>(
         clocks: vec![0; p],
         tcache: (0..p).map(|_| TransCache::new()).collect(),
         dynamic: cfg.policy == PolicyKind::DynamicRecolor,
-        conflict_counts: cdpc_core::fastmap::FxMap64::new(),
+        conflict_counts: Default::default(),
         color_loads: vec![0; num_colors],
         recolorings: 0,
         instr: vec![0; p],

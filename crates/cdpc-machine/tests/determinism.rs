@@ -1,8 +1,9 @@
 //! Determinism guarantees for the sweep executor: every execution path —
 //! the plain run loop, the observed run loop with a probe attached, and a
 //! multi-threaded sweep — must produce byte-identical reports for the same
-//! `(CompiledProgram, RunConfig)` input. The benchmark binaries rely on
-//! this to make `--threads N` output indistinguishable from `--threads 1`.
+//! `(CompiledProgram, RunConfig)` input. The `reproduce` experiments rely
+//! on this to make `--threads N` output indistinguishable from
+//! `--threads 1`.
 
 use cdpc_compiler::ir::{Access, AccessPattern, LoopNest, Phase, Program, Stmt, StmtKind};
 use cdpc_compiler::{compile, CompileOptions};

@@ -29,7 +29,9 @@
 //! workload (as in the paper), so the distortion does not affect any
 //! conclusion.
 
-use cdpc_core::fastmap::FxMap64;
+use std::collections::HashMap;
+
+use cdpc_core::FxBuildHasher;
 
 use crate::lru::LruSet;
 
@@ -145,7 +147,7 @@ impl ShadowCache {
 pub struct SharingTracker {
     /// line address → (victim cpu → mask of sub-blocks written since the
     /// victim lost the line).
-    pending: FxMap64<FxMap64<u64>>,
+    pending: HashMap<u64, HashMap<u64, u64, FxBuildHasher>, FxBuildHasher>,
 }
 
 impl SharingTracker {
@@ -160,17 +162,19 @@ impl SharingTracker {
         debug_assert!(sub_block < 64);
         *self
             .pending
-            .entry_or_insert_with(line_addr, FxMap64::new)
-            .entry_or_insert_with(victim as u64, || 0) |= 1 << sub_block;
+            .entry(line_addr)
+            .or_default()
+            .entry(victim as u64)
+            .or_insert(0) |= 1 << sub_block;
     }
 
     /// Records a write of `sub_block` by `writer`; accumulates into every
     /// other processor's pending record for the line.
     pub fn on_write(&mut self, line_addr: u64, writer: usize, sub_block: u32) {
         debug_assert!(sub_block < 64);
-        if let Some(victims) = self.pending.get_mut(line_addr) {
+        if let Some(victims) = self.pending.get_mut(&line_addr) {
             for (victim, mask) in victims.iter_mut() {
-                if victim != writer as u64 {
+                if *victim != writer as u64 {
                     *mask |= 1 << sub_block;
                 }
             }
@@ -181,8 +185,8 @@ impl SharingTracker {
     /// line — i.e. its next miss on the line is a communication miss.
     pub fn has_pending(&self, line_addr: u64, cpu: usize) -> bool {
         self.pending
-            .get(line_addr)
-            .is_some_and(|v| v.contains_key(cpu as u64))
+            .get(&line_addr)
+            .is_some_and(|v| v.contains_key(&(cpu as u64)))
     }
 
     /// Resolves a coherence miss: removes the pending record and classifies
@@ -195,10 +199,10 @@ impl SharingTracker {
         sub_block: u32,
     ) -> Option<MissClass> {
         debug_assert!(sub_block < 64);
-        let victims = self.pending.get_mut(line_addr)?;
-        let mask = victims.remove(cpu as u64)?;
+        let victims = self.pending.get_mut(&line_addr)?;
+        let mask = victims.remove(&(cpu as u64))?;
         if victims.is_empty() {
-            self.pending.remove(line_addr);
+            self.pending.remove(&line_addr);
         }
         Some(if mask & (1 << sub_block) != 0 {
             MissClass::TrueSharing

@@ -57,4 +57,6 @@ pub mod victim;
 pub use classify::MissClass;
 pub use config::{CacheConfig, MemConfig};
 pub use stats::{CpuStats, MemStats};
-pub use system::{AccessKind, AccessOutcome, CpuId, MemorySystem, PrefetchOutcome, ServicedBy};
+pub use system::{
+    AccessKind, AccessOutcome, CpuId, MemorySystem, PrefetchOutcome, ServicedBy, MAX_CPUS,
+};

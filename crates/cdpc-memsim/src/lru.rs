@@ -6,7 +6,9 @@
 //! 1 MB L2 holds 8192 lines and is touched on every L2 access, so constant
 //! factors matter.
 
-use cdpc_core::fastmap::FxMap64;
+use std::collections::HashMap;
+
+use cdpc_core::FxBuildHasher;
 
 const NIL: u32 = u32::MAX;
 
@@ -21,7 +23,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct LruSet {
     capacity: usize,
-    map: FxMap64<u32>,
+    map: HashMap<u64, u32, FxBuildHasher>,
     nodes: Vec<Node>,
     free: Vec<u32>,
     head: u32, // most recently used
@@ -49,7 +51,7 @@ impl LruSet {
         assert!(capacity > 0, "LRU capacity must be positive");
         Self {
             capacity,
-            map: FxMap64::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), FxBuildHasher::default()),
             nodes: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: NIL,
@@ -74,13 +76,13 @@ impl LruSet {
 
     /// Returns `true` if `key` is resident (without touching recency).
     pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(key)
+        self.map.contains_key(&key)
     }
 
     /// Touches `key` if resident, making it most-recently-used.
     /// Returns `true` on hit.
     pub fn touch(&mut self, key: u64) -> bool {
-        match self.map.get(key) {
+        match self.map.get(&key) {
             Some(&idx) => {
                 self.unlink(idx);
                 self.push_front(idx);
@@ -101,7 +103,7 @@ impl LruSet {
             debug_assert_ne!(lru, NIL);
             let old_key = self.nodes[lru as usize].key;
             self.unlink(lru);
-            self.map.remove(old_key);
+            self.map.remove(&old_key);
             self.free.push(lru);
             evicted = Some(old_key);
         }
@@ -129,7 +131,7 @@ impl LruSet {
 
     /// Removes `key`, returning `true` if it was resident.
     pub fn remove(&mut self, key: u64) -> bool {
-        match self.map.remove(key) {
+        match self.map.remove(&key) {
             Some(idx) => {
                 self.unlink(idx);
                 self.free.push(idx);

@@ -21,7 +21,9 @@
 //!   for later requesters, which is how contention appears (as in the
 //!   paper, where bus saturation more than doubles tomcatv's MCPI).
 
-use cdpc_core::fastmap::{DenseSet64, FxMap64, FxSet64};
+use std::collections::{HashMap, HashSet};
+
+use cdpc_core::{DenseSet64, FxBuildHasher};
 use cdpc_obs::{LineState, NullProbe, PrefetchDropReason, Probe};
 use cdpc_vm::addr::{PhysAddr, VirtAddr, Vpn};
 use cdpc_vm::RegionMap;
@@ -113,12 +115,12 @@ struct CpuMem {
     /// pa L1-line → va L1-line, for inclusion invalidations. The reverse
     /// direction rides along in each L1 way's `aux` tag, so no second map
     /// is needed on the fill path.
-    l1_map: FxMap64<u64>,
+    l1_map: HashMap<u64, u64, FxBuildHasher>,
     /// pa L2-line → (completion cycle, fill state) of in-flight prefetches.
-    inflight: FxMap64<(u64, Mesi)>,
+    inflight: HashMap<u64, (u64, Mesi), FxBuildHasher>,
     /// Prefetch-filled lines not yet referenced by a demand access (for
     /// prefetch-hit accounting).
-    pf_filled: FxSet64,
+    pf_filled: HashSet<u64, FxBuildHasher>,
     /// Reusable drain buffer for [`MemorySystem::complete_prefetches`], so
     /// the per-reference completion sweep allocates nothing in steady state.
     pf_done: Vec<(u64, u64, Mesi)>,
@@ -140,7 +142,7 @@ pub struct MemorySystem<P: Probe = NullProbe> {
     cpus: Vec<CpuMem>,
     bus: Bus,
     sharing: SharingTracker,
-    directory: FxMap64<DirEntry>,
+    directory: HashMap<u64, DirEntry, FxBuildHasher>,
     probe: P,
     /// Virtual-range → array-id tags for miss attribution. Empty (the
     /// default) disables [`Probe::on_classified_miss`] emission entirely,
@@ -155,6 +157,10 @@ pub struct MemorySystem<P: Probe = NullProbe> {
     /// "simulation work done" counter behind wall-clock refs/sec.
     lifetime_refs: u64,
 }
+
+/// Most processors a [`MemorySystem`] models: the directory keeps each
+/// line's sharers in a 32-bit mask. The paper simulates at most 16.
+pub const MAX_CPUS: usize = 32;
 
 impl MemorySystem {
     /// Builds the memory system described by `cfg`, with probing disabled.
@@ -178,8 +184,8 @@ impl<P: Probe> MemorySystem<P> {
     /// 32-bit sharer mask; the paper simulates at most 16).
     pub fn with_probe(cfg: MemConfig, probe: P) -> Self {
         assert!(
-            cfg.num_cpus >= 1 && cfg.num_cpus <= 32,
-            "1..=32 CPUs supported"
+            (1..=MAX_CPUS).contains(&cfg.num_cpus),
+            "1..={MAX_CPUS} CPUs supported"
         );
         let cpus = (0..cfg.num_cpus)
             .map(|_| CpuMem {
@@ -189,9 +195,9 @@ impl<P: Probe> MemorySystem<P> {
                 tlb: Tlb::new(cfg.tlb_entries),
                 shadow: ShadowCache::new(cfg.l2.num_lines()),
                 seen_lines: DenseSet64::new(),
-                l1_map: FxMap64::new(),
-                inflight: FxMap64::new(),
-                pf_filled: FxSet64::new(),
+                l1_map: Default::default(),
+                inflight: Default::default(),
+                pf_filled: Default::default(),
                 pf_done: Vec::new(),
                 slots: PrefetchSlots::new(cfg.max_outstanding_prefetches),
                 stats: CpuStats::default(),
@@ -209,7 +215,7 @@ impl<P: Probe> MemorySystem<P> {
             cpus,
             bus: Bus::new(),
             sharing: SharingTracker::new(),
-            directory: FxMap64::new(),
+            directory: Default::default(),
             probe,
             regions: RegionMap::default(),
             num_colors,
@@ -381,7 +387,8 @@ impl<P: Probe> MemorySystem<P> {
             // The emptiness gate keeps prefetch-hit bookkeeping off the
             // hit path of runs that never prefetch (removal from an empty
             // set is a no-op either way).
-            if !self.cpus[cpu].pf_filled.is_empty() && self.cpus[cpu].pf_filled.remove(pa_l2_line) {
+            if !self.cpus[cpu].pf_filled.is_empty() && self.cpus[cpu].pf_filled.remove(&pa_l2_line)
+            {
                 self.cpus[cpu].stats.prefetch_hits += 1;
             }
             if is_write {
@@ -397,7 +404,7 @@ impl<P: Probe> MemorySystem<P> {
         }
 
         // In-flight prefetch?
-        if let Some(&(completion, _state)) = self.cpus[cpu].inflight.get(pa_l2_line) {
+        if let Some(&(completion, _state)) = self.cpus[cpu].inflight.get(&pa_l2_line) {
             let wait = completion.saturating_sub(now);
             self.complete_prefetches(cpu, completion.max(now));
             let hit_cycles = self.cfg.l2_hit_cycles();
@@ -526,7 +533,7 @@ impl<P: Probe> MemorySystem<P> {
         }
         self.complete_prefetches(cpu, now);
         let resident = matches!(self.cpus[cpu].l2.peek(pa_l2_line), Lookup::Hit(_))
-            || self.cpus[cpu].inflight.contains_key(pa_l2_line)
+            || self.cpus[cpu].inflight.contains_key(&pa_l2_line)
             || self.cpus[cpu]
                 .victim
                 .as_ref()
@@ -599,7 +606,7 @@ impl<P: Probe> MemorySystem<P> {
                     self.drop_line(cpu, line_addr);
                 }
             }
-            self.directory.remove(line_addr);
+            self.directory.remove(&line_addr);
         }
         self.probe.on_page_flush(page_base.0, page);
     }
@@ -624,7 +631,7 @@ impl<P: Probe> MemorySystem<P> {
         for (cpu, c) in self.cpus.iter().enumerate() {
             let vc_lines = c.victim.as_ref().into_iter().flat_map(|v| v.iter());
             for (line, state) in c.l2.resident().chain(vc_lines) {
-                let entry = self.directory.get(line).unwrap_or_else(|| {
+                let entry = self.directory.get(&line).unwrap_or_else(|| {
                     panic!("cpu{cpu} holds {line:#x} but the directory has no entry")
                 });
                 assert!(
@@ -664,11 +671,11 @@ impl<P: Probe> MemorySystem<P> {
                 }
             }
         }
-        for (line, entry) in self.directory.iter() {
+        for (&line, entry) in self.directory.iter() {
             for cpu in 0..self.cfg.num_cpus {
                 if entry.sharers & (1 << cpu) != 0 {
                     let resident = matches!(self.cpus[cpu].l2.peek(line), Lookup::Hit(_));
-                    let in_flight = self.cpus[cpu].inflight.contains_key(line);
+                    let in_flight = self.cpus[cpu].inflight.contains_key(&line);
                     let in_vc = self.cpus[cpu]
                         .victim
                         .as_ref()
@@ -728,18 +735,14 @@ impl<P: Probe> MemorySystem<P> {
             self.cpus[cpu].stats.upgrade_stall_cycles += grant.total_cycles();
             self.invalidate_other_copies(cpu, pa_l2_line, sub);
             self.cpus[cpu].l2.set_state(pa_l2_line, Mesi::Modified);
-            let entry = self
-                .directory
-                .entry_or_insert_with(pa_l2_line, DirEntry::default);
+            let entry = self.directory.entry(pa_l2_line).or_default();
             entry.sharers = 1 << cpu;
             entry.dirty_owner = Some(cpu);
             self.probe
                 .on_line_state(cpu, pa_l2_line, LineState::Modified);
         } else if state == Mesi::Exclusive {
             self.cpus[cpu].l2.set_state(pa_l2_line, Mesi::Modified);
-            let entry = self
-                .directory
-                .entry_or_insert_with(pa_l2_line, DirEntry::default);
+            let entry = self.directory.entry(pa_l2_line).or_default();
             entry.dirty_owner = Some(cpu);
             self.probe
                 .on_line_state(cpu, pa_l2_line, LineState::Modified);
@@ -751,7 +754,7 @@ impl<P: Probe> MemorySystem<P> {
     /// Invalidates every other CPU's copy of a line (write miss or
     /// upgrade), recording sharing-tracker victims.
     fn invalidate_other_copies(&mut self, cpu: CpuId, pa_l2_line: u64, sub: u32) {
-        let entry = self.directory.get(pa_l2_line).copied().unwrap_or_default();
+        let entry = self.directory.get(&pa_l2_line).copied().unwrap_or_default();
         for victim in 0..self.cfg.num_cpus {
             if victim == cpu || entry.sharers & (1 << victim) == 0 {
                 continue;
@@ -768,8 +771,8 @@ impl<P: Probe> MemorySystem<P> {
             .on_line_state(cpu, pa_l2_line, LineState::Invalid);
         self.cpus[cpu].l2.invalidate(pa_l2_line);
         self.cpus[cpu].shadow.invalidate(pa_l2_line);
-        self.cpus[cpu].inflight.remove(pa_l2_line);
-        self.cpus[cpu].pf_filled.remove(pa_l2_line);
+        self.cpus[cpu].inflight.remove(&pa_l2_line);
+        self.cpus[cpu].pf_filled.remove(&pa_l2_line);
         if let Some(vc) = self.cpus[cpu].victim.as_mut() {
             vc.invalidate(pa_l2_line);
         }
@@ -781,7 +784,7 @@ impl<P: Probe> MemorySystem<P> {
         let n = self.cfg.l2.line_bytes() as u64 / l1_line;
         for k in 0..n {
             let pa_sub = pa_l2_line + k * l1_line;
-            if let Some(va_sub) = self.cpus[cpu].l1_map.remove(pa_sub) {
+            if let Some(va_sub) = self.cpus[cpu].l1_map.remove(&pa_sub) {
                 self.cpus[cpu].l1d.invalidate(va_sub);
                 self.cpus[cpu].l1i.invalidate(va_sub);
             }
@@ -798,7 +801,7 @@ impl<P: Probe> MemorySystem<P> {
         sub: u32,
         for_write: bool,
     ) -> (u64, ServicedBy, Mesi) {
-        let entry = self.directory.get(pa_l2_line).copied().unwrap_or_default();
+        let entry = self.directory.get(&pa_l2_line).copied().unwrap_or_default();
         let others = entry.sharers & !(1u32 << cpu);
         let occ = self
             .cfg
@@ -851,9 +854,7 @@ impl<P: Probe> MemorySystem<P> {
         let grant = self.bus_request(now, occ, BusUse::Data);
         let latency = base + grant.queue_cycles;
 
-        let entry = self
-            .directory
-            .entry_or_insert_with(pa_l2_line, DirEntry::default);
+        let entry = self.directory.entry(pa_l2_line).or_default();
         let fill_state = if for_write {
             entry.sharers = 1 << cpu;
             entry.dirty_owner = Some(cpu);
@@ -881,7 +882,7 @@ impl<P: Probe> MemorySystem<P> {
     fn handle_l2_eviction_state(&mut self, cpu: CpuId, now: u64, victim_line: u64, state: Mesi) {
         // A prefetched line displaced before its first demand use is a
         // wasted prefetch, not a future prefetch hit.
-        self.cpus[cpu].pf_filled.remove(victim_line);
+        self.cpus[cpu].pf_filled.remove(&victim_line);
         // With a victim cache, the line stays on this CPU (directory
         // rights included); only a line falling out of the victim buffer
         // is truly released.
@@ -911,13 +912,13 @@ impl<P: Probe> MemorySystem<P> {
                 .bus_occupancy_cycles(self.cfg.l2.line_bytes() as u64);
             self.bus_request(now, occ, BusUse::Writeback);
         }
-        if let Some(entry) = self.directory.get_mut(line) {
+        if let Some(entry) = self.directory.get_mut(&line) {
             entry.sharers &= !(1u32 << cpu);
             if entry.dirty_owner == Some(cpu) {
                 entry.dirty_owner = None;
             }
             if entry.sharers == 0 {
-                self.directory.remove(line);
+                self.directory.remove(&line);
             }
         }
     }
@@ -932,7 +933,7 @@ impl<P: Probe> MemorySystem<P> {
         if let Some(evicted) = l1.fill_tagged(va_line, Mesi::Exclusive, pa_sub) {
             // The way's aux tag is the pa the victim was filled under, so
             // the stale forward mapping dies without a reverse lookup.
-            c.l1_map.remove(evicted.aux);
+            c.l1_map.remove(&evicted.aux);
         }
         c.l1_map.insert(pa_sub, va_line);
     }
@@ -952,17 +953,17 @@ impl<P: Probe> MemorySystem<P> {
                 .inflight
                 .iter()
                 .filter(|&(_, &(c, _))| c <= now)
-                .map(|(line, &(c, s))| (c, line, s)),
+                .map(|(&line, &(c, s))| (c, line, s)),
         );
         done.sort_unstable_by_key(|&(c, line, _)| (c, line));
         for &(completion, line, recorded) in &done {
-            self.cpus[cpu].inflight.remove(line);
+            self.cpus[cpu].inflight.remove(&line);
             // A racing invalidation may have removed the entry's directory
             // rights; only fill if we still appear as a sharer. The fill
             // state is re-derived from the directory: another CPU may have
             // read the line while it was in flight, downgrading an
             // exclusive prefetch's recorded `Modified` to `Shared`.
-            let entry = self.directory.get(line).copied();
+            let entry = self.directory.get(&line).copied();
             let state = match entry {
                 Some(e) if e.sharers & (1 << cpu) == 0 => {
                     // Rights were revoked while in flight: report the
@@ -1421,7 +1422,7 @@ mod tests {
         m.access(0, 0, va(0x1000), pa(0x1000), AccessKind::Write);
         // Corrupt the directory: pretend CPU1 also shares the Modified line.
         let line = m.cfg.l2.line_of(0x1000);
-        m.directory.get_mut(line).expect("entry exists").sharers |= 0b10;
+        m.directory.get_mut(&line).expect("entry exists").sharers |= 0b10;
         m.validate_coherence();
     }
 
@@ -1433,7 +1434,10 @@ mod tests {
         // Corrupt the directory: drop the dirty owner while the L2 copy
         // stays Modified.
         let line = m.cfg.l2.line_of(0x1000);
-        m.directory.get_mut(line).expect("entry exists").dirty_owner = None;
+        m.directory
+            .get_mut(&line)
+            .expect("entry exists")
+            .dirty_owner = None;
         m.validate_coherence();
     }
 

@@ -10,7 +10,9 @@
 //! conclusion: hardware absorbs conflict *hot spots* but cannot fix cache
 //! *under-utilization*, which is CDPC's real win.
 
-use cdpc_core::fastmap::FxMap64;
+use std::collections::HashMap;
+
+use cdpc_core::FxBuildHasher;
 
 use crate::cache::Mesi;
 use crate::lru::{LruInsert, LruSet};
@@ -19,7 +21,7 @@ use crate::lru::{LruInsert, LruSet};
 #[derive(Debug, Clone)]
 pub struct VictimCache {
     lru: LruSet,
-    states: FxMap64<Mesi>,
+    states: HashMap<u64, Mesi, FxBuildHasher>,
     hits: u64,
     insertions: u64,
 }
@@ -42,7 +44,7 @@ impl VictimCache {
     pub fn new(lines: usize) -> Self {
         Self {
             lru: LruSet::new(lines),
-            states: FxMap64::with_capacity(lines),
+            states: HashMap::with_capacity_and_hasher(lines, FxBuildHasher::default()),
             hits: 0,
             insertions: 0,
         }
@@ -54,7 +56,7 @@ impl VictimCache {
         self.states.insert(line_addr, state);
         match self.lru.insert(line_addr) {
             LruInsert::Evicted(old) => {
-                let old_state = self.states.remove(old).unwrap_or(Mesi::Exclusive);
+                let old_state = self.states.remove(&old).unwrap_or(Mesi::Exclusive);
                 Some(VictimEvicted {
                     line_addr: old,
                     dirty: old_state == Mesi::Modified,
@@ -69,7 +71,7 @@ impl VictimCache {
     pub fn take(&mut self, line_addr: u64) -> Option<Mesi> {
         if self.lru.remove(line_addr) {
             self.hits += 1;
-            self.states.remove(line_addr)
+            self.states.remove(&line_addr)
         } else {
             None
         }
@@ -79,7 +81,7 @@ impl VictimCache {
     /// Returns the state if it was present.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<Mesi> {
         if self.lru.remove(line_addr) {
-            self.states.remove(line_addr)
+            self.states.remove(&line_addr)
         } else {
             None
         }
@@ -93,7 +95,7 @@ impl VictimCache {
     /// Changes the coherence state of a buffered line (bus snoop).
     /// Returns `false` when the line is absent.
     pub fn set_state(&mut self, line_addr: u64, state: Mesi) -> bool {
-        match self.states.get_mut(line_addr) {
+        match self.states.get_mut(&line_addr) {
             Some(s) => {
                 *s = state;
                 true
@@ -104,7 +106,7 @@ impl VictimCache {
 
     /// Iterates `(line address, state)` of buffered lines.
     pub fn iter(&self) -> impl Iterator<Item = (u64, Mesi)> + '_ {
-        self.states.iter().map(|(l, &s)| (l, s))
+        self.states.iter().map(|(&l, &s)| (l, s))
     }
 
     /// Lines currently buffered.

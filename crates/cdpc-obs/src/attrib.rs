@@ -208,11 +208,6 @@ impl AttributionProbe {
         &self.gap
     }
 
-    /// The run-loop batch size histogram (phase-weighted).
-    pub fn batch_sizes(&self) -> &LogHistogram {
-        &self.batch
-    }
-
     /// Pressure per color: faults whose preferred color was denied.
     pub fn fallbacks_by_color(&self) -> &[u64] {
         &self.fallbacks

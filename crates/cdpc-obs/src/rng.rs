@@ -28,11 +28,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `0..bound`.
     ///
     /// # Panics

@@ -168,11 +168,6 @@ impl<P: MappingPolicy> CdpcPolicy<P> {
     pub fn base(&self) -> &P {
         &self.base
     }
-
-    /// Consumes the wrapper, returning the hint table and base policy.
-    pub fn into_parts(self) -> (HintTable, P) {
-        (self.hints, self.base)
-    }
 }
 
 impl<P: MappingPolicy> MappingPolicy for CdpcPolicy<P> {
