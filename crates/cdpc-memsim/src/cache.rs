@@ -44,9 +44,10 @@ struct Way {
     /// LRU timestamp; larger = more recent.
     stamp: u64,
     valid: bool,
-    /// Caller-supplied tag carried with the line and returned on eviction.
-    /// The L1s store the physical sub-line here so the memory system needs
-    /// no reverse (virtual → physical) map; the L2s leave it zero.
+    /// Caller-supplied tag carried with the line and returned on eviction
+    /// or invalidation. The memory system keeps an L2 line's virtual
+    /// address here, so inclusion needs no physical → virtual map; the L1s
+    /// leave it zero.
     aux: u64,
 }
 
@@ -69,6 +70,16 @@ pub enum Lookup {
     Miss,
 }
 
+impl Lookup {
+    /// The resident line's state, `None` on a miss.
+    pub fn state(self) -> Option<Mesi> {
+        match self {
+            Lookup::Hit(s) => Some(s),
+            Lookup::Miss => None,
+        }
+    }
+}
+
 /// A line evicted to make room for a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
@@ -80,8 +91,8 @@ pub struct Evicted {
     /// The coherence state the victim held (needed when the line moves to
     /// a victim cache instead of being discarded).
     pub state: Mesi,
-    /// The caller-supplied tag stored with the line at fill time (zero for
-    /// lines filled through [`Cache::fill`]).
+    /// The caller-supplied tag stored with the line (zero for lines filled
+    /// through [`Cache::fill`] and never re-tagged).
     pub aux: u64,
 }
 
@@ -218,15 +229,31 @@ impl Cache {
         }
     }
 
-    /// Invalidates a line if resident, returning its state.
-    pub fn invalidate(&mut self, addr: u64) -> Option<Mesi> {
+    /// Replaces the `aux` tag of a resident line without touching LRU
+    /// state. Returns `false` if the line is not resident.
+    #[inline]
+    pub fn set_aux(&mut self, addr: u64, aux: u64) -> bool {
         match self.find(addr) {
             Some(i) => {
-                self.ways[i].valid = false;
-                Some(self.ways[i].state)
+                self.ways[i].aux = aux;
+                true
             }
-            None => None,
+            None => false,
         }
+    }
+
+    /// Invalidates a line if resident, returning its record (state and
+    /// `aux` tag).
+    pub fn invalidate(&mut self, addr: u64) -> Option<Evicted> {
+        let i = self.find(addr)?;
+        let way = &mut self.ways[i];
+        way.valid = false;
+        Some(Evicted {
+            line_addr: self.cfg.line_of(addr),
+            dirty: way.state == Mesi::Modified,
+            state: way.state,
+            aux: way.aux,
+        })
     }
 
     /// Number of valid lines currently resident (O(lines); for tests and
@@ -320,9 +347,16 @@ mod tests {
     fn invalidate_removes_line() {
         let mut c = tiny();
         c.fill(0x80, Mesi::Modified);
-        assert_eq!(c.invalidate(0x80), Some(Mesi::Modified));
+        c.set_aux(0x80, 7);
+        let gone = c.invalidate(0x80).expect("resident");
+        assert_eq!(
+            (gone.line_addr, gone.state, gone.aux),
+            (0x80, Mesi::Modified, 7)
+        );
+        assert!(gone.dirty);
         assert_eq!(c.probe(0x80), Lookup::Miss);
         assert_eq!(c.invalidate(0x80), None);
+        assert!(!c.set_aux(0x80, 7), "no resident line to tag");
     }
 
     #[test]

@@ -103,35 +103,39 @@ impl std::fmt::Display for MissClass {
 /// replacement misses into conflict vs. capacity.
 ///
 /// It holds the same number of lines as the real L2 and is updated on every
-/// L2 reference; a real-cache miss that hits here is a conflict miss.
+/// L2 reference; a real-cache miss that hits here is a conflict miss. Lines
+/// are named by their L2-line *number* (line address / line size), the
+/// dense key its [`LruSet`] indexes by.
 #[derive(Debug, Clone)]
 pub struct ShadowCache {
     lines: LruSet,
 }
 
 impl ShadowCache {
-    /// Creates a shadow cache holding `capacity_lines` lines.
-    pub fn new(capacity_lines: usize) -> Self {
+    /// Creates a shadow cache holding `capacity_lines` lines, indexing line
+    /// numbers in chunks of `chunk_lines` (one page of lines).
+    pub fn new(capacity_lines: usize, chunk_lines: usize) -> Self {
         Self {
-            lines: LruSet::new(capacity_lines),
+            lines: LruSet::new(capacity_lines, chunk_lines),
         }
     }
 
-    /// Records a reference to `line_addr` and reports whether the
+    /// Records a reference to line number `line` and reports whether the
     /// fully-associative cache would have hit.
-    pub fn reference(&mut self, line_addr: u64) -> bool {
-        matches!(self.lines.insert(line_addr), crate::lru::LruInsert::Hit)
+    #[inline]
+    pub fn reference(&mut self, line: u64) -> bool {
+        matches!(self.lines.insert(line), crate::lru::LruInsert::Hit)
     }
 
     /// Removes a line (on coherence invalidation, so a later miss on it is
     /// charged to communication, not to replacement).
-    pub fn invalidate(&mut self, line_addr: u64) {
-        self.lines.remove(line_addr);
+    pub fn invalidate(&mut self, line: u64) {
+        self.lines.remove(line);
     }
 
-    /// Whether the line is resident in the shadow cache.
-    pub fn contains(&self, line_addr: u64) -> bool {
-        self.lines.contains(line_addr)
+    /// Whether line number `line` is resident in the shadow cache.
+    pub fn contains(&self, line: u64) -> bool {
+        self.lines.contains(line)
     }
 }
 
@@ -229,16 +233,16 @@ mod tests {
 
     #[test]
     fn shadow_separates_conflict_from_capacity() {
-        let mut s = ShadowCache::new(2);
-        assert!(!s.reference(0x000)); // cold in shadow
-        assert!(!s.reference(0x100));
+        let mut s = ShadowCache::new(2, 32);
+        assert!(!s.reference(0)); // cold in shadow
+        assert!(!s.reference(1));
         assert!(
-            s.reference(0x000),
+            s.reference(0),
             "still resident: a real miss here is conflict"
         );
-        assert!(!s.reference(0x200)); // evicts 0x100
+        assert!(!s.reference(2)); // evicts 1
         assert!(
-            !s.reference(0x100),
+            !s.reference(1),
             "capacity-evicted: a real miss here is capacity"
         );
     }
@@ -297,10 +301,10 @@ mod tests {
 
     #[test]
     fn shadow_invalidate_removes_line() {
-        let mut s = ShadowCache::new(4);
-        s.reference(0x40);
-        assert!(s.contains(0x40));
-        s.invalidate(0x40);
-        assert!(!s.contains(0x40));
+        let mut s = ShadowCache::new(4, 32);
+        s.reference(40);
+        assert!(s.contains(40));
+        s.invalidate(40);
+        assert!(!s.contains(40));
     }
 }

@@ -15,7 +15,14 @@
 //!   L1→L2 victim traffic (on-chip and free in the paper's machine) while
 //!   keeping the bus-visible coherence behaviour exact.
 //! * Inclusion is enforced: evicting or invalidating an L2 line invalidates
-//!   the corresponding L1 sub-lines.
+//!   the corresponding L1 sub-lines. Each L2 way's `aux` tag holds the
+//!   virtual address its L1 sub-lines were filled under (or [`NO_VA`]), so
+//!   the sub-lines are found without a physical → virtual map.
+//! * Outside the sharing tracker's records of invalidated lines and the
+//!   prefetch tables, a reference hashes nothing: the TLB, the shadow
+//!   cache and the victim buffer index an [`LruSet`](crate::lru::LruSet)
+//!   by page or line number, and the directory and the cold-miss filter
+//!   are dense tables indexed by line number.
 //! * A miss's latency is `service latency + bus queueing delay`; the data
 //!   transfer occupancy overlaps the service latency but serializes the bus
 //!   for later requesters, which is how contention appears (as in the
@@ -23,13 +30,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cdpc_core::{DenseSet64, FxBuildHasher};
+use cdpc_core::{DenseMap64, DenseSet64, FxBuildHasher};
 use cdpc_obs::{LineState, NullProbe, PrefetchDropReason, Probe};
 use cdpc_vm::addr::{PhysAddr, VirtAddr, Vpn};
 use cdpc_vm::RegionMap;
 
 use crate::bus::{Bus, BusUse};
-use crate::cache::{Cache, Lookup, Mesi};
+use crate::cache::{Cache, Evicted, Lookup, Mesi};
 use crate::classify::{MissClass, ShadowCache, SharingTracker};
 use crate::config::MemConfig;
 use crate::prefetch::PrefetchSlots;
@@ -91,20 +98,55 @@ pub struct PrefetchOutcome {
     pub stall_cycles: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// One line's directory entry, packed into 8 bytes. A line no CPU holds
+/// reads as the default entry: no sharers, no owner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DirEntry {
     /// Bitmask of CPUs holding the line.
     sharers: u32,
-    /// CPU holding the line in `Modified` state, if any.
-    dirty_owner: Option<CpuId>,
+    /// CPU holding the line in `Modified` state, or [`NO_OWNER`].
+    owner: u8,
 }
 
+/// [`DirEntry::owner`] of a line no CPU holds dirty.
+const NO_OWNER: u8 = u8::MAX;
+
+impl Default for DirEntry {
+    fn default() -> Self {
+        Self {
+            sharers: 0,
+            owner: NO_OWNER,
+        }
+    }
+}
+
+impl DirEntry {
+    /// CPU holding the line in `Modified` state, if any.
+    fn dirty_owner(self) -> Option<CpuId> {
+        (self.owner != NO_OWNER).then_some(self.owner as CpuId)
+    }
+}
+
+/// The `aux` tag of an L2 way from which no L1 line was filled (a line
+/// only prefetched, or just filled). It cannot be an L2-line-aligned
+/// address, so such a line invalidates nothing in the L1s.
+const NO_VA: u64 = u64::MAX;
+
+/// One processor's private hierarchy. Its demand path hashes nothing: the
+/// caches index by set, the TLB and the shadow cache through the dense
+/// index of their [`LruSet`](crate::lru::LruSet), and `seen_lines` by line
+/// number. The L1s keep no tag of their own: each L2 way's `aux` names the
+/// virtual address of its L1 sub-lines, for inclusion. Only the prefetch
+/// tables (`inflight`, `pf_filled`) hash, and runs without prefetching
+/// leave them empty.
 #[derive(Debug)]
 struct CpuMem {
     l1d: Cache,
     l1i: Cache,
     l2: Cache,
+    /// Keyed by virtual page number.
     tlb: Tlb,
+    /// Keyed by L2-line number.
     shadow: ShadowCache,
     /// L2-line *indices* (line address / line size) this CPU has ever
     /// held — the cold-miss filter. Grows monotonically with the physical
@@ -112,10 +154,6 @@ struct CpuMem {
     /// one probe per L2 miss must not become a DRAM miss into a
     /// multi-megabyte table.
     seen_lines: DenseSet64,
-    /// pa L1-line → va L1-line, for inclusion invalidations. The reverse
-    /// direction rides along in each L1 way's `aux` tag, so no second map
-    /// is needed on the fill path.
-    l1_map: HashMap<u64, u64, FxBuildHasher>,
     /// pa L2-line → (completion cycle, fill state) of in-flight prefetches.
     inflight: HashMap<u64, (u64, Mesi), FxBuildHasher>,
     /// Prefetch-filled lines not yet referenced by a demand access (for
@@ -142,7 +180,9 @@ pub struct MemorySystem<P: Probe = NullProbe> {
     cpus: Vec<CpuMem>,
     bus: Bus,
     sharing: SharingTracker,
-    directory: HashMap<u64, DirEntry, FxBuildHasher>,
+    /// L2-line number → sharers and dirty owner, in chunks of one page of
+    /// lines; see [`dir`](Self::dir).
+    directory: DenseMap64<DirEntry>,
     probe: P,
     /// Virtual-range → array-id tags for miss attribution. Empty (the
     /// default) disables [`Probe::on_classified_miss`] emission entirely,
@@ -187,22 +227,26 @@ impl<P: Probe> MemorySystem<P> {
             (1..=MAX_CPUS).contains(&cfg.num_cpus),
             "1..={MAX_CPUS} CPUs supported"
         );
+        // Line-number-indexed tables allocate one page of lines at a time.
+        let page_lines = (cfg.page_size / cfg.l2.line_bytes())
+            .max(1)
+            .next_power_of_two();
         let cpus = (0..cfg.num_cpus)
             .map(|_| CpuMem {
                 l1d: Cache::new(cfg.l1d),
                 l1i: Cache::new(cfg.l1i),
                 l2: Cache::new(cfg.l2),
                 tlb: Tlb::new(cfg.tlb_entries),
-                shadow: ShadowCache::new(cfg.l2.num_lines()),
+                shadow: ShadowCache::new(cfg.l2.num_lines(), page_lines),
                 seen_lines: DenseSet64::new(),
-                l1_map: Default::default(),
                 inflight: Default::default(),
                 pf_filled: Default::default(),
                 pf_done: Vec::new(),
                 slots: PrefetchSlots::new(cfg.max_outstanding_prefetches),
                 stats: CpuStats::default(),
-                victim: (cfg.victim_cache_lines > 0)
-                    .then(|| VictimCache::new(cfg.victim_cache_lines)),
+                victim: (cfg.victim_cache_lines > 0).then(|| {
+                    VictimCache::new(cfg.victim_cache_lines, cfg.l2.line_shift(), page_lines)
+                }),
             })
             .collect();
         // `ColorSpace` semantics (l2 / (page × assoc)), but degenerate
@@ -215,7 +259,7 @@ impl<P: Probe> MemorySystem<P> {
             cpus,
             bus: Bus::new(),
             sharing: SharingTracker::new(),
-            directory: Default::default(),
+            directory: DenseMap64::new(page_lines, DirEntry::default()),
             probe,
             regions: RegionMap::default(),
             num_colors,
@@ -281,6 +325,18 @@ impl<P: Probe> MemorySystem<P> {
             c.stats = CpuStats::default();
         }
         self.bus = Bus::new();
+    }
+
+    /// The directory entry of the L2 line at `line_addr`.
+    #[inline]
+    fn dir(&self, line_addr: u64) -> DirEntry {
+        self.directory.get(line_addr >> self.cfg.l2.line_shift())
+    }
+
+    #[inline]
+    fn set_dir(&mut self, line_addr: u64, entry: DirEntry) {
+        self.directory
+            .set(line_addr >> self.cfg.l2.line_shift(), entry);
     }
 
     #[inline]
@@ -368,16 +424,14 @@ impl<P: Probe> MemorySystem<P> {
             };
         }
         let pa_l2_line = self.cfg.l2.line_of(pa.0);
+        let line_no = pa_l2_line >> self.cfg.l2.line_shift();
         let sub = self.sub_block_of(pa.0);
 
         // L2 probe.
-        let l2_state = match self.cpus[cpu].l2.probe(pa_l2_line) {
-            Lookup::Hit(s) => Some(s),
-            Lookup::Miss => None,
-        };
+        let l2_state = self.cpus[cpu].l2.probe(pa_l2_line).state();
         // The fully-associative shadow cache sees the same reference stream
         // as the L2 (L1 misses only), instruction lines included.
-        let fa_hit = self.cpus[cpu].shadow.reference(pa_l2_line);
+        let fa_hit = self.cpus[cpu].shadow.reference(line_no);
 
         if let Some(state) = l2_state {
             let hit_cycles = self.cfg.l2_hit_cycles();
@@ -394,7 +448,7 @@ impl<P: Probe> MemorySystem<P> {
             if is_write {
                 latency += self.write_touch_in_state(cpu, now, pa_l2_line, sub, state);
             }
-            self.fill_l1(cpu, va_line, pa.0, is_ifetch);
+            self.fill_l1(cpu, va.0, pa.0, is_ifetch);
             return AccessOutcome {
                 latency_cycles: latency,
                 serviced_by: ServicedBy::L2,
@@ -418,7 +472,7 @@ impl<P: Probe> MemorySystem<P> {
             if is_write {
                 latency += self.write_touch(cpu, now + wait, pa_l2_line, sub);
             }
-            self.fill_l1(cpu, va_line, pa.0, is_ifetch);
+            self.fill_l1(cpu, va.0, pa.0, is_ifetch);
             return AccessOutcome {
                 latency_cycles: latency,
                 serviced_by: ServicedBy::Prefetch,
@@ -445,7 +499,7 @@ impl<P: Probe> MemorySystem<P> {
             if is_write {
                 latency += self.write_touch(cpu, now, pa_l2_line, sub);
             }
-            self.fill_l1(cpu, va_line, pa.0, is_ifetch);
+            self.fill_l1(cpu, va.0, pa.0, is_ifetch);
             return AccessOutcome {
                 latency_cycles: latency,
                 serviced_by: ServicedBy::VictimCache,
@@ -458,19 +512,14 @@ impl<P: Probe> MemorySystem<P> {
         // replacement; cold only when the CPU never saw the line).
         let class = if let Some(c) = self.sharing.classify_refetch(pa_l2_line, cpu, sub) {
             c
-        } else if !self.cpus[cpu]
-            .seen_lines
-            .contains(pa_l2_line >> self.cfg.l2.line_shift())
-        {
+        } else if !self.cpus[cpu].seen_lines.contains(line_no) {
             MissClass::Cold
         } else if fa_hit {
             MissClass::Conflict
         } else {
             MissClass::Capacity
         };
-        self.cpus[cpu]
-            .seen_lines
-            .insert(pa_l2_line >> self.cfg.l2.line_shift());
+        self.cpus[cpu].seen_lines.insert(line_no);
 
         let (service_latency, serviced_by, fill_state) =
             self.service_miss(cpu, now, pa_l2_line, sub, is_write);
@@ -480,7 +529,7 @@ impl<P: Probe> MemorySystem<P> {
         if is_write {
             self.sharing.on_write(pa_l2_line, cpu, sub);
         }
-        self.fill_l1(cpu, va_line, pa.0, is_ifetch);
+        self.fill_l1(cpu, va.0, pa.0, is_ifetch);
 
         {
             let stats = &mut self.cpus[cpu].stats;
@@ -606,7 +655,7 @@ impl<P: Probe> MemorySystem<P> {
                     self.drop_line(cpu, line_addr);
                 }
             }
-            self.directory.remove(&line_addr);
+            self.set_dir(line_addr, DirEntry::default());
         }
         self.probe.on_page_flush(page_base.0, page);
     }
@@ -631,9 +680,7 @@ impl<P: Probe> MemorySystem<P> {
         for (cpu, c) in self.cpus.iter().enumerate() {
             let vc_lines = c.victim.as_ref().into_iter().flat_map(|v| v.iter());
             for (line, state) in c.l2.resident().chain(vc_lines) {
-                let entry = self.directory.get(&line).unwrap_or_else(|| {
-                    panic!("cpu{cpu} holds {line:#x} but the directory has no entry")
-                });
+                let entry = self.dir(line);
                 assert!(
                     entry.sharers & (1 << cpu) != 0,
                     "cpu{cpu} holds {line:#x} without its sharer bit"
@@ -641,10 +688,10 @@ impl<P: Probe> MemorySystem<P> {
                 match state {
                     Mesi::Modified => {
                         assert_eq!(
-                            entry.dirty_owner,
+                            entry.dirty_owner(),
                             Some(cpu),
                             "modified {line:#x} in cpu{cpu} but directory owner is {:?}",
-                            entry.dirty_owner
+                            entry.dirty_owner()
                         );
                         assert_eq!(
                             entry.sharers,
@@ -663,7 +710,7 @@ impl<P: Probe> MemorySystem<P> {
                     }
                     Mesi::Shared => {
                         assert_ne!(
-                            entry.dirty_owner,
+                            entry.dirty_owner(),
                             Some(cpu),
                             "shared {line:#x} cannot be the dirty owner"
                         );
@@ -671,7 +718,8 @@ impl<P: Probe> MemorySystem<P> {
                 }
             }
         }
-        for (&line, entry) in self.directory.iter() {
+        for (line_no, entry) in self.directory.iter() {
+            let line = line_no << self.cfg.l2.line_shift();
             for cpu in 0..self.cfg.num_cpus {
                 if entry.sharers & (1 << cpu) != 0 {
                     let resident = matches!(self.cpus[cpu].l2.peek(line), Lookup::Hit(_));
@@ -708,12 +756,11 @@ impl<P: Probe> MemorySystem<P> {
     /// upgrades a `Shared` line, silently dirties an `Exclusive` one, and
     /// feeds the sharing tracker. Returns extra stall cycles.
     fn write_touch(&mut self, cpu: CpuId, now: u64, pa_l2_line: u64, sub: u32) -> u64 {
-        let state = match self.cpus[cpu].l2.peek(pa_l2_line) {
-            Lookup::Hit(s) => s,
-            // L1 hit with the line missing from L2 can only happen
-            // transiently around an inclusion invalidation; treat as no-op.
-            Lookup::Miss => return 0,
-        };
+        let state = self.cpus[cpu]
+            .l2
+            .peek(pa_l2_line)
+            .state()
+            .expect("inclusion: every line in a CPU's L1s is also in its L2");
         self.write_touch_in_state(cpu, now, pa_l2_line, sub, state)
     }
 
@@ -735,15 +782,20 @@ impl<P: Probe> MemorySystem<P> {
             self.cpus[cpu].stats.upgrade_stall_cycles += grant.total_cycles();
             self.invalidate_other_copies(cpu, pa_l2_line, sub);
             self.cpus[cpu].l2.set_state(pa_l2_line, Mesi::Modified);
-            let entry = self.directory.entry(pa_l2_line).or_default();
-            entry.sharers = 1 << cpu;
-            entry.dirty_owner = Some(cpu);
+            self.set_dir(
+                pa_l2_line,
+                DirEntry {
+                    sharers: 1 << cpu,
+                    owner: cpu as u8,
+                },
+            );
             self.probe
                 .on_line_state(cpu, pa_l2_line, LineState::Modified);
         } else if state == Mesi::Exclusive {
             self.cpus[cpu].l2.set_state(pa_l2_line, Mesi::Modified);
-            let entry = self.directory.entry(pa_l2_line).or_default();
-            entry.dirty_owner = Some(cpu);
+            let mut entry = self.dir(pa_l2_line);
+            entry.owner = cpu as u8;
+            self.set_dir(pa_l2_line, entry);
             self.probe
                 .on_line_state(cpu, pa_l2_line, LineState::Modified);
         }
@@ -754,7 +806,7 @@ impl<P: Probe> MemorySystem<P> {
     /// Invalidates every other CPU's copy of a line (write miss or
     /// upgrade), recording sharing-tracker victims.
     fn invalidate_other_copies(&mut self, cpu: CpuId, pa_l2_line: u64, sub: u32) {
-        let entry = self.directory.get(&pa_l2_line).copied().unwrap_or_default();
+        let entry = self.dir(pa_l2_line);
         for victim in 0..self.cfg.num_cpus {
             if victim == cpu || entry.sharers & (1 << victim) == 0 {
                 continue;
@@ -769,25 +821,36 @@ impl<P: Probe> MemorySystem<P> {
     fn drop_line(&mut self, cpu: CpuId, pa_l2_line: u64) {
         self.probe
             .on_line_state(cpu, pa_l2_line, LineState::Invalid);
-        self.cpus[cpu].l2.invalidate(pa_l2_line);
-        self.cpus[cpu].shadow.invalidate(pa_l2_line);
-        self.cpus[cpu].inflight.remove(&pa_l2_line);
-        self.cpus[cpu].pf_filled.remove(&pa_l2_line);
-        if let Some(vc) = self.cpus[cpu].victim.as_mut() {
+        let line_no = pa_l2_line >> self.cfg.l2.line_shift();
+        let c = &mut self.cpus[cpu];
+        let dropped = c.l2.invalidate(pa_l2_line);
+        c.shadow.invalidate(line_no);
+        c.inflight.remove(&pa_l2_line);
+        c.pf_filled.remove(&pa_l2_line);
+        if let Some(vc) = c.victim.as_mut() {
             vc.invalidate(pa_l2_line);
         }
-        self.invalidate_l1_sublines(cpu, pa_l2_line);
+        // A line held only in the victim buffer or in flight has no L1
+        // sub-lines: they went when it left (or never reached) the L2.
+        if let Some(dropped) = dropped {
+            self.invalidate_l1_sublines(cpu, dropped.aux);
+        }
     }
 
-    fn invalidate_l1_sublines(&mut self, cpu: CpuId, pa_l2_line: u64) {
+    /// Inclusion: invalidates, in both L1s, the sub-lines of an L2 line
+    /// whose way was tagged with virtual address `va_l2_line` (nothing for
+    /// [`NO_VA`]).
+    fn invalidate_l1_sublines(&mut self, cpu: CpuId, va_l2_line: u64) {
+        if va_l2_line == NO_VA {
+            return;
+        }
         let l1_line = self.cfg.l1d.line_bytes() as u64;
-        let n = self.cfg.l2.line_bytes() as u64 / l1_line;
-        for k in 0..n {
-            let pa_sub = pa_l2_line + k * l1_line;
-            if let Some(va_sub) = self.cpus[cpu].l1_map.remove(&pa_sub) {
-                self.cpus[cpu].l1d.invalidate(va_sub);
-                self.cpus[cpu].l1i.invalidate(va_sub);
-            }
+        let c = &mut self.cpus[cpu];
+        for va_sub in
+            (va_l2_line..va_l2_line + self.cfg.l2.line_bytes() as u64).step_by(l1_line as usize)
+        {
+            c.l1d.invalidate(va_sub);
+            c.l1i.invalidate(va_sub);
         }
     }
 
@@ -801,12 +864,12 @@ impl<P: Probe> MemorySystem<P> {
         sub: u32,
         for_write: bool,
     ) -> (u64, ServicedBy, Mesi) {
-        let entry = self.directory.get(&pa_l2_line).copied().unwrap_or_default();
+        let entry = self.dir(pa_l2_line);
         let others = entry.sharers & !(1u32 << cpu);
         let occ = self
             .cfg
             .bus_occupancy_cycles(self.cfg.l2.line_bytes() as u64);
-        let (base, source) = match entry.dirty_owner {
+        let (base, source) = match entry.dirty_owner() {
             Some(owner) if owner != cpu => {
                 // Cache-to-cache transfer.
                 if for_write {
@@ -854,32 +917,40 @@ impl<P: Probe> MemorySystem<P> {
         let grant = self.bus_request(now, occ, BusUse::Data);
         let latency = base + grant.queue_cycles;
 
-        let entry = self.directory.entry(pa_l2_line).or_default();
+        let mut entry = self.dir(pa_l2_line);
         let fill_state = if for_write {
             entry.sharers = 1 << cpu;
-            entry.dirty_owner = Some(cpu);
+            entry.owner = cpu as u8;
             Mesi::Modified
-        } else if entry.sharers & !(1u32 << cpu) != 0 || entry.dirty_owner.is_some() {
+        } else if entry.sharers & !(1u32 << cpu) != 0 || entry.owner != NO_OWNER {
             entry.sharers |= 1 << cpu;
-            entry.dirty_owner = None;
+            entry.owner = NO_OWNER;
             Mesi::Shared
         } else {
             entry.sharers |= 1 << cpu;
-            entry.dirty_owner = None;
+            entry.owner = NO_OWNER;
             Mesi::Exclusive
         };
+        self.set_dir(pa_l2_line, entry);
         (latency, source, fill_state)
     }
 
-    /// Installs a line in `cpu`'s L2, handling the victim.
+    /// Installs a line in `cpu`'s L2 (tagged [`NO_VA`] until
+    /// [`fill_l1`](Self::fill_l1) fills an L1 from it), handling the victim.
     fn fill_l2(&mut self, cpu: CpuId, now: u64, pa_l2_line: u64, state: Mesi) {
         self.probe.on_line_state(cpu, pa_l2_line, state.into());
-        if let Some(evicted) = self.cpus[cpu].l2.fill(pa_l2_line, state) {
-            self.handle_l2_eviction_state(cpu, now, evicted.line_addr, evicted.state);
+        if let Some(evicted) = self.cpus[cpu].l2.fill_tagged(pa_l2_line, state, NO_VA) {
+            self.handle_l2_eviction(cpu, now, evicted);
         }
     }
 
-    fn handle_l2_eviction_state(&mut self, cpu: CpuId, now: u64, victim_line: u64, state: Mesi) {
+    fn handle_l2_eviction(&mut self, cpu: CpuId, now: u64, evicted: Evicted) {
+        let Evicted {
+            line_addr: victim_line,
+            state,
+            aux: va_l2_line,
+            ..
+        } = evicted;
         // A prefetched line displaced before its first demand use is a
         // wasted prefetch, not a future prefetch hit.
         self.cpus[cpu].pf_filled.remove(&victim_line);
@@ -892,14 +963,14 @@ impl<P: Probe> MemorySystem<P> {
                 .as_mut()
                 .expect("checked above")
                 .insert(victim_line, state);
-            self.invalidate_l1_sublines(cpu, victim_line);
+            self.invalidate_l1_sublines(cpu, va_l2_line);
             if let Some(out) = pushed_out {
                 self.release_line(cpu, now, out.line_addr, out.dirty);
             }
             return;
         }
         self.release_line(cpu, now, victim_line, state == Mesi::Modified);
-        self.invalidate_l1_sublines(cpu, victim_line);
+        self.invalidate_l1_sublines(cpu, va_l2_line);
     }
 
     /// Fully releases a line from this CPU: write back if dirty, clear
@@ -912,30 +983,26 @@ impl<P: Probe> MemorySystem<P> {
                 .bus_occupancy_cycles(self.cfg.l2.line_bytes() as u64);
             self.bus_request(now, occ, BusUse::Writeback);
         }
-        if let Some(entry) = self.directory.get_mut(&line) {
-            entry.sharers &= !(1u32 << cpu);
-            if entry.dirty_owner == Some(cpu) {
-                entry.dirty_owner = None;
-            }
-            if entry.sharers == 0 {
-                self.directory.remove(&line);
-            }
+        let mut entry = self.dir(line);
+        entry.sharers &= !(1u32 << cpu);
+        if entry.owner == cpu as u8 || entry.sharers == 0 {
+            entry.owner = NO_OWNER;
         }
+        self.set_dir(line, entry);
     }
 
-    fn fill_l1(&mut self, cpu: CpuId, va_line: u64, pa: u64, is_ifetch: bool) {
-        let pa_sub = self.cfg.l1d.line_of(pa);
+    /// Fills the L1 line of `va` after an L1 miss that the L2 (or a
+    /// prefetch or the victim buffer) served, and tags the L2 way with the
+    /// virtual address of its line for [`invalidate_l1_sublines`].
+    ///
+    /// [`invalidate_l1_sublines`]: Self::invalidate_l1_sublines
+    fn fill_l1(&mut self, cpu: CpuId, va: u64, pa: u64, is_ifetch: bool) {
+        let va_line = self.cfg.l1d.line_of(va);
+        let pa_l2_line = self.cfg.l2.line_of(pa);
         let c = &mut self.cpus[cpu];
+        c.l2.set_aux(pa_l2_line, va - (pa - pa_l2_line));
         let l1 = if is_ifetch { &mut c.l1i } else { &mut c.l1d };
-        if matches!(l1.peek(va_line), Lookup::Hit(_)) {
-            return;
-        }
-        if let Some(evicted) = l1.fill_tagged(va_line, Mesi::Exclusive, pa_sub) {
-            // The way's aux tag is the pa the victim was filled under, so
-            // the stale forward mapping dies without a reverse lookup.
-            c.l1_map.remove(&evicted.aux);
-        }
-        c.l1_map.insert(pa_sub, va_line);
+        l1.fill(va_line, Mesi::Exclusive);
     }
 
     /// Applies all prefetch fills whose completion time has passed.
@@ -963,26 +1030,23 @@ impl<P: Probe> MemorySystem<P> {
             // state is re-derived from the directory: another CPU may have
             // read the line while it was in flight, downgrading an
             // exclusive prefetch's recorded `Modified` to `Shared`.
-            let entry = self.directory.get(&line).copied();
-            let state = match entry {
-                Some(e) if e.sharers & (1 << cpu) == 0 => {
-                    // Rights were revoked while in flight: report the
-                    // discarded claim so shadow trackers stay exact.
-                    self.probe.on_line_state(cpu, line, LineState::Invalid);
-                    continue;
-                }
-                Some(e) if e.dirty_owner == Some(cpu) => Mesi::Modified,
-                Some(e) if e.sharers == 1 << cpu => match recorded {
+            let e = self.dir(line);
+            let state = if e.sharers & (1 << cpu) == 0 {
+                // Rights were revoked while in flight: report the
+                // discarded claim so shadow trackers stay exact.
+                self.probe.on_line_state(cpu, line, LineState::Invalid);
+                continue;
+            } else if e.dirty_owner() == Some(cpu) {
+                Mesi::Modified
+            } else if e.sharers == 1 << cpu {
+                match recorded {
                     // Sole sharer but no longer dirty owner: ownership was
                     // stripped while in flight; the copy arrives clean.
                     Mesi::Modified => Mesi::Exclusive,
                     s => s,
-                },
-                Some(_) => Mesi::Shared,
-                None => {
-                    self.probe.on_line_state(cpu, line, LineState::Invalid);
-                    continue;
                 }
+            } else {
+                Mesi::Shared
             };
             if !matches!(self.cpus[cpu].l2.peek(line), Lookup::Hit(_)) {
                 self.fill_l2(cpu, completion, line, state);
@@ -1050,6 +1114,29 @@ mod tests {
         let out = m.access(0, 5000, va(0x0000), pa(0x0000), AccessKind::Read);
         assert_eq!(out.serviced_by, ServicedBy::L2);
         assert_eq!(out.miss_class, None);
+    }
+
+    #[test]
+    fn unused_prefetch_eviction_leaves_l1_at_va_zero() {
+        let mut m = MemorySystem::new(small_cfg(1));
+        // The four L1 lines at VA 0..128, from L2 line pa 0x2000 (set 0).
+        for off in (0..128).step_by(32) {
+            m.access(0, 0, va(off), pa(0x2000 + off), AccessKind::Read);
+        }
+        // Map page 1 in the TLB (L2 set 2), then prefetch pa 0x3080
+        // (L2 set 1), which arrives tagged with no virtual address.
+        m.access(0, 100, va(0x1100), pa(0x3100), AccessKind::Read);
+        assert!(m.prefetch(0, 200, va(0x1080), pa(0x3080), false).issued);
+        // Long after it arrives, a demand miss to pa 0x3480 (L2 set 1,
+        // L1 set 1) evicts the prefetched line before any demand use.
+        m.access(0, 100_000, va(0x14a0), pa(0x34a0), AccessKind::Read);
+        assert_eq!(m.cpus[0].l2.peek(0x3080), Lookup::Miss, "prefetch evicted");
+        assert_eq!(m.stats().cpus[0].prefetch_hits, 0);
+        // Tagging it with VA 0 instead would have invalidated these.
+        for off in (0..128).step_by(32) {
+            let out = m.access(0, 200_000, va(off), pa(0x2000 + off), AccessKind::Read);
+            assert_eq!(out.serviced_by, ServicedBy::L1, "L1 line at VA {off:#x}");
+        }
     }
 
     #[test]
@@ -1422,7 +1509,9 @@ mod tests {
         m.access(0, 0, va(0x1000), pa(0x1000), AccessKind::Write);
         // Corrupt the directory: pretend CPU1 also shares the Modified line.
         let line = m.cfg.l2.line_of(0x1000);
-        m.directory.get_mut(&line).expect("entry exists").sharers |= 0b10;
+        let mut entry = m.dir(line);
+        entry.sharers |= 0b10;
+        m.set_dir(line, entry);
         m.validate_coherence();
     }
 
@@ -1434,10 +1523,9 @@ mod tests {
         // Corrupt the directory: drop the dirty owner while the L2 copy
         // stays Modified.
         let line = m.cfg.l2.line_of(0x1000);
-        m.directory
-            .get_mut(&line)
-            .expect("entry exists")
-            .dirty_owner = None;
+        let mut entry = m.dir(line);
+        entry.owner = NO_OWNER;
+        m.set_dir(line, entry);
         m.validate_coherence();
     }
 

@@ -5,9 +5,16 @@
 //! prefetch instruction is *dropped* when the target page is not mapped in
 //! the TLB — which is why applu's large-stride prefetches are ineffective
 //! (Section 6.2, footnote 1).
+//!
+//! The entries are an [`LruSet`] of virtual page numbers: a dense index, no
+//! hashing, and a run of references to one page (the common case) touches
+//! only the most-recently-used entry.
 
 use crate::lru::{LruInsert, LruSet};
 use cdpc_vm::addr::Vpn;
+
+/// Virtual pages per chunk of the TLB's index (256 KB of 4 KB pages).
+const CHUNK_VPNS: usize = 64;
 
 /// A per-CPU TLB holding virtual page numbers.
 #[derive(Debug, Clone)]
@@ -25,7 +32,7 @@ impl Tlb {
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
         Self {
-            entries: LruSet::new(entries),
+            entries: LruSet::new(entries, CHUNK_VPNS),
             hits: 0,
             misses: 0,
         }

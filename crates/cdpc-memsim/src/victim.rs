@@ -10,18 +10,21 @@
 //! conclusion: hardware absorbs conflict *hot spots* but cannot fix cache
 //! *under-utilization*, which is CDPC's real win.
 
-use std::collections::HashMap;
-
-use cdpc_core::FxBuildHasher;
-
 use crate::cache::Mesi;
 use crate::lru::{LruInsert, LruSet};
 
 /// A small fully-associative victim buffer holding recently evicted lines.
+///
+/// Its API takes line addresses; the recency list is an [`LruSet`] of line
+/// numbers, and each buffered line's state sits in the list's node
+/// [`slot`](LruSet::slot).
 #[derive(Debug, Clone)]
 pub struct VictimCache {
     lru: LruSet,
-    states: HashMap<u64, Mesi, FxBuildHasher>,
+    /// `log2` of the line size: line address → line number.
+    line_shift: u32,
+    /// State of the line in each LRU slot.
+    states: Vec<Mesi>,
     hits: u64,
     insertions: u64,
 }
@@ -36,15 +39,17 @@ pub struct VictimEvicted {
 }
 
 impl VictimCache {
-    /// Creates a victim cache holding `lines` entries.
+    /// Creates a victim cache holding `lines` entries of `1 << line_shift`
+    /// bytes, indexing line numbers in chunks of `chunk_lines` (one page).
     ///
     /// # Panics
     ///
     /// Panics if `lines` is zero (disable by not constructing one).
-    pub fn new(lines: usize) -> Self {
+    pub fn new(lines: usize, line_shift: u32, chunk_lines: usize) -> Self {
         Self {
-            lru: LruSet::new(lines),
-            states: HashMap::with_capacity_and_hasher(lines, FxBuildHasher::default()),
+            lru: LruSet::new(lines, chunk_lines),
+            line_shift,
+            states: vec![Mesi::Exclusive; lines],
             hits: 0,
             insertions: 0,
         }
@@ -53,15 +58,16 @@ impl VictimCache {
     /// Inserts an evicted line; returns the entry pushed out, if any.
     pub fn insert(&mut self, line_addr: u64, state: Mesi) -> Option<VictimEvicted> {
         self.insertions += 1;
-        self.states.insert(line_addr, state);
-        match self.lru.insert(line_addr) {
-            LruInsert::Evicted(old) => {
-                let old_state = self.states.remove(&old).unwrap_or(Mesi::Exclusive);
-                Some(VictimEvicted {
-                    line_addr: old,
-                    dirty: old_state == Mesi::Modified,
-                })
-            }
+        let line = line_addr >> self.line_shift;
+        let outcome = self.lru.insert(line);
+        // The inserted line took the evicted line's slot.
+        let slot = self.lru.slot(line).expect("just inserted");
+        let old_state = std::mem::replace(&mut self.states[slot], state);
+        match outcome {
+            LruInsert::Evicted(old) => Some(VictimEvicted {
+                line_addr: old << self.line_shift,
+                dirty: old_state == Mesi::Modified,
+            }),
             _ => None,
         }
     }
@@ -69,44 +75,44 @@ impl VictimCache {
     /// Removes and returns a line on a victim hit (the swap back into the
     /// main cache).
     pub fn take(&mut self, line_addr: u64) -> Option<Mesi> {
-        if self.lru.remove(line_addr) {
-            self.hits += 1;
-            self.states.remove(&line_addr)
-        } else {
-            None
-        }
+        let state = self.invalidate(line_addr);
+        self.hits += state.is_some() as u64;
+        state
     }
 
     /// Coherence invalidation: drop the line without counting a hit.
     /// Returns the state if it was present.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<Mesi> {
-        if self.lru.remove(line_addr) {
-            self.states.remove(&line_addr)
-        } else {
-            None
-        }
+        let line = line_addr >> self.line_shift;
+        let slot = self.lru.slot(line)?;
+        self.lru.remove(line);
+        Some(self.states[slot])
     }
 
     /// Whether the line is buffered.
     pub fn contains(&self, line_addr: u64) -> bool {
-        self.lru.contains(line_addr)
+        self.lru.contains(line_addr >> self.line_shift)
     }
 
     /// Changes the coherence state of a buffered line (bus snoop).
     /// Returns `false` when the line is absent.
     pub fn set_state(&mut self, line_addr: u64, state: Mesi) -> bool {
-        match self.states.get_mut(&line_addr) {
-            Some(s) => {
-                *s = state;
+        match self.lru.slot(line_addr >> self.line_shift) {
+            Some(slot) => {
+                self.states[slot] = state;
                 true
             }
             None => false,
         }
     }
 
-    /// Iterates `(line address, state)` of buffered lines.
+    /// Iterates `(line address, state)` of buffered lines, most recently
+    /// inserted first.
     pub fn iter(&self) -> impl Iterator<Item = (u64, Mesi)> + '_ {
-        self.states.iter().map(|(&l, &s)| (l, s))
+        self.lru.iter().map(|line| {
+            let slot = self.lru.slot(line).expect("resident");
+            (line << self.line_shift, self.states[slot])
+        })
     }
 
     /// Lines currently buffered.
@@ -136,7 +142,7 @@ mod tests {
 
     #[test]
     fn insert_take_roundtrip() {
-        let mut vc = VictimCache::new(2);
+        let mut vc = VictimCache::new(2, 8, 16);
         assert!(vc.insert(0x100, Mesi::Modified).is_none());
         assert!(vc.contains(0x100));
         assert_eq!(vc.take(0x100), Some(Mesi::Modified));
@@ -146,7 +152,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru_with_dirtiness() {
-        let mut vc = VictimCache::new(2);
+        let mut vc = VictimCache::new(2, 8, 16);
         vc.insert(0x100, Mesi::Modified);
         vc.insert(0x200, Mesi::Exclusive);
         let out = vc.insert(0x300, Mesi::Shared).expect("full buffer evicts");
@@ -157,7 +163,7 @@ mod tests {
 
     #[test]
     fn invalidate_does_not_count_as_hit() {
-        let mut vc = VictimCache::new(2);
+        let mut vc = VictimCache::new(2, 8, 16);
         vc.insert(0x100, Mesi::Shared);
         assert_eq!(vc.invalidate(0x100), Some(Mesi::Shared));
         assert_eq!(vc.hits(), 0);
@@ -166,7 +172,7 @@ mod tests {
 
     #[test]
     fn reinsertion_refreshes_state() {
-        let mut vc = VictimCache::new(2);
+        let mut vc = VictimCache::new(2, 8, 16);
         vc.insert(0x100, Mesi::Exclusive);
         vc.insert(0x100, Mesi::Modified);
         assert_eq!(vc.len(), 1);
