@@ -1,21 +1,21 @@
 //! Hashing and dense-index primitives for the simulator's `u64`-keyed
 //! tables.
 //!
-//! The memory simulator's per-reference tables (the shadow cache's and the
-//! TLB's LRU index, the coherence directory, the cold-miss filter) are
+//! The memory simulator's per-reference tables (the shadow cache's, the
+//! TLB's and the victim buffer's LRU index, the coherence directory) are
 //! keyed by *dense* identifiers — L2-line numbers and virtual page numbers,
-//! both bounded by the simulated footprint. They index straight into
-//! chunked arrays ([`DenseMap64`], [`DenseSet64`]): no hashing, and one
-//! chunk per page of keys, so a table grows with the pages actually
-//! touched rather than with the whole address space.
+//! both bounded by the simulated footprint. They index straight into a
+//! chunked array ([`DenseMap64`]): no hashing, and one chunk per page of
+//! keys, so a table grows with the pages actually touched rather than with
+//! the whole address space.
 //!
-//! The remaining sparse tables (in-flight prefetches, sharing records, the
-//! run loop's conflict counters, the sanitizer) are std
-//! `HashMap`/`HashSet` over [`FxBuildHasher`]: the Firefox/rustc "Fx"
-//! multiply hash, one wrapping multiply by a 64-bit odd constant, then a
-//! rotate. std's default SipHash-1-3 is DoS-resistant but costs tens of
-//! cycles per lookup; keys here are simulated addresses, not
-//! attacker-controlled input, so hash-flooding resistance buys nothing.
+//! The remaining sparse tables (sharing records, the run loop's conflict
+//! counters, the sanitizer) are std `HashMap`/`HashSet` over
+//! [`FxBuildHasher`]: the Firefox/rustc "Fx" multiply hash, one wrapping
+//! multiply by a 64-bit odd constant, then a rotate. std's default
+//! SipHash-1-3 is DoS-resistant but costs tens of cycles per lookup; keys
+//! here are simulated addresses, not attacker-controlled input, so
+//! hash-flooding resistance buys nothing.
 //!
 //! The hasher is fixed, not seeded per process like std's `RandomState`,
 //! so a table's iteration order is the same from one run to the next.
@@ -23,7 +23,7 @@
 //! sort where order reaches results), but the stability removes one class
 //! of run-to-run divergence.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2^64 / golden ratio, forced odd — the classic Fibonacci-hashing
@@ -63,108 +63,6 @@ impl Hasher for FxHasher64 {
 /// Builds [`FxHasher64`]s; the hasher for every simulator `HashMap` and
 /// `HashSet` keyed by an address.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
-
-/// Keys below this index live in the dense bitmap; larger ones spill to a
-/// hash set. At one bit per key the dense region tops out at 8 MB, and the
-/// bitmap only grows to the largest key actually inserted.
-const DENSE_SET_LIMIT: u64 = 1 << 26;
-
-/// A monotone-friendly set of small-ish `u64` indices: a growable bitmap
-/// for keys below [`DENSE_SET_LIMIT`], a hash-set spill for the rest.
-///
-/// Built for membership sets keyed by *dense* identifiers — line indices,
-/// frame numbers — that are probed on every simulated reference and only
-/// ever grow. A hash set of a million 64-bit keys spreads its probes over
-/// tens of megabytes (every lookup is a DRAM miss); the bitmap packs the
-/// same members into one bit each, so the hot probe loop stays in cache.
-/// Arbitrary outliers (e.g. addresses parked near `u64::MAX`) still work:
-/// they take the spill path and cost one hash probe.
-#[derive(Debug, Clone, Default)]
-pub struct DenseSet64 {
-    /// Bit `k & 63` of `words[k >> 6]` is set when `k` is a member.
-    words: Vec<u64>,
-    /// Members at or above [`DENSE_SET_LIMIT`].
-    spill: HashSet<u64, FxBuildHasher>,
-    /// Total member count across both regions.
-    len: usize,
-}
-
-impl DenseSet64 {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether `key` is a member.
-    #[inline]
-    pub fn contains(&self, key: u64) -> bool {
-        if key < DENSE_SET_LIMIT {
-            self.words
-                .get((key >> 6) as usize)
-                .is_some_and(|w| w & (1u64 << (key & 63)) != 0)
-        } else {
-            self.spill.contains(&key)
-        }
-    }
-
-    /// Adds `key`; returns `true` if it was newly inserted.
-    #[inline]
-    pub fn insert(&mut self, key: u64) -> bool {
-        let new = if key < DENSE_SET_LIMIT {
-            let word = (key >> 6) as usize;
-            if word >= self.words.len() {
-                self.words.resize(word + 1, 0);
-            }
-            let bit = 1u64 << (key & 63);
-            let was = self.words[word] & bit != 0;
-            self.words[word] |= bit;
-            !was
-        } else {
-            self.spill.insert(key)
-        };
-        self.len += new as usize;
-        new
-    }
-
-    /// Removes `key`; returns `true` if it was a member.
-    #[inline]
-    pub fn remove(&mut self, key: u64) -> bool {
-        let removed = if key < DENSE_SET_LIMIT {
-            match self.words.get_mut((key >> 6) as usize) {
-                Some(w) => {
-                    let bit = 1u64 << (key & 63);
-                    let was = *w & bit != 0;
-                    *w &= !bit;
-                    was
-                }
-                None => false,
-            }
-        } else {
-            self.spill.remove(&key)
-        };
-        self.len -= removed as usize;
-        removed
-    }
-
-    /// Removes all members, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-        self.spill.clear();
-        self.len = 0;
-    }
-}
 
 /// Keys below this index live in [`DenseMap64`]'s chunk table; larger
 /// ones spill to an ordered map. The table holds one `u32` per chunk up to
@@ -308,6 +206,7 @@ impl<T: Copy + PartialEq> DenseMap64<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::BuildHasher;
 
     #[test]
@@ -325,58 +224,6 @@ mod tests {
             "only {} of 1024 buckets",
             buckets.len()
         );
-    }
-
-    #[test]
-    fn dense_set_basics() {
-        let mut s = DenseSet64::new();
-        assert!(s.is_empty());
-        assert!(s.insert(0));
-        assert!(s.insert(63));
-        assert!(s.insert(64));
-        assert!(!s.insert(64), "second insert of same key returns false");
-        assert!(s.contains(0) && s.contains(63) && s.contains(64));
-        assert!(!s.contains(65));
-        assert_eq!(s.len(), 3);
-        assert!(s.remove(63));
-        assert!(!s.remove(63));
-        assert!(!s.contains(63));
-        assert_eq!(s.len(), 2);
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.contains(0));
-    }
-
-    #[test]
-    fn dense_set_spills_huge_keys_without_huge_allocations() {
-        let mut s = DenseSet64::new();
-        for k in [u64::MAX, u64::MAX / 2, DENSE_SET_LIMIT, DENSE_SET_LIMIT - 1] {
-            assert!(s.insert(k));
-            assert!(s.contains(k));
-        }
-        assert_eq!(s.len(), 4);
-        // The dense bitmap only covers keys below the limit; a key just
-        // under it bounds the allocation at the 8 MB ceiling, and the
-        // huge keys must not have grown it further.
-        assert!(s.words.len() as u64 <= DENSE_SET_LIMIT / 64);
-        assert_eq!(s.spill.len(), 3);
-        assert!(s.remove(u64::MAX));
-        assert!(!s.contains(u64::MAX));
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn dense_set_grows_only_to_largest_inserted_key() {
-        let mut s = DenseSet64::new();
-        for k in 0..10_000u64 {
-            s.insert(k);
-        }
-        assert_eq!(s.len(), 10_000);
-        assert!(s.words.len() <= 10_000 / 64 + 1);
-        for k in 0..10_000u64 {
-            assert!(s.contains(k), "{k} must be a member");
-        }
-        assert!(!s.contains(10_000));
     }
 
     #[test]

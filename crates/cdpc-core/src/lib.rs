@@ -87,7 +87,7 @@ pub mod summary;
 mod error;
 
 pub use error::CdpcError;
-pub use fastmap::{DenseMap64, DenseSet64, FxBuildHasher};
+pub use fastmap::{DenseMap64, FxBuildHasher};
 pub use fingerprint::{Fingerprint, FpHasher};
 pub use hints::{generate_hints, generate_hints_with, ColorHints, HintOptions};
 pub use machine::MachineParams;

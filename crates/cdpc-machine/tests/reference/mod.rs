@@ -748,8 +748,8 @@ impl Memory {
         }
     }
 
-    /// Removes one physical page from every CPU (the cache side of a
-    /// recoloring), writing dirty lines back at `now`.
+    /// Removes one physical page, cached or in flight, from every CPU (the
+    /// cache side of a recoloring), writing dirty lines back at `now`.
     fn flush_page(&mut self, now: u64, page_base: u64) {
         let step = self.l2_line_bytes();
         for line in (page_base..page_base + self.cfg.page_size as u64).step_by(step as usize) {
@@ -766,6 +766,9 @@ impl Memory {
                     }
                     self.drop_line(cpu, line);
                 }
+                // An in-flight prefetch of the line is cancelled; its slot
+                // stays busy until it would have completed.
+                self.cpus[cpu].inflight.remove(&line);
             }
             self.directory.remove(&line);
         }

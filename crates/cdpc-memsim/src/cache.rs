@@ -44,6 +44,9 @@ struct Way {
     /// LRU timestamp; larger = more recent.
     stamp: u64,
     valid: bool,
+    /// Set when a prefetch filled the line and no demand probe has hit it
+    /// since (see [`Cache::mark_prefetched`]).
+    prefetched: bool,
     /// Caller-supplied tag carried with the line and returned on eviction
     /// or invalidation. The memory system keeps an L2 line's virtual
     /// address here, so inclusion needs no physical → virtual map; the L1s
@@ -57,9 +60,13 @@ impl Way {
         state: Mesi::Exclusive,
         stamp: 0,
         valid: false,
+        prefetched: false,
         aux: 0,
     };
 }
+
+// The prefetched mark lives in the padding after `state` and `valid`.
+const _: () = assert!(std::mem::size_of::<Way>() == 32);
 
 /// What a lookup found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,16 +147,39 @@ impl Cache {
             .map(|i| set * a + i)
     }
 
-    /// Looks up `addr`, updating LRU recency on a hit.
-    pub fn probe(&mut self, addr: u64) -> Lookup {
+    /// Finds `addr`, updating LRU recency on a hit.
+    fn touch(&mut self, addr: u64) -> Option<&mut Way> {
         self.clock += 1;
         let clock = self.clock;
-        match self.find(addr) {
-            Some(i) => {
-                self.ways[i].stamp = clock;
-                Lookup::Hit(self.ways[i].state)
-            }
+        let i = self.find(addr)?;
+        let way = &mut self.ways[i];
+        way.stamp = clock;
+        Some(way)
+    }
+
+    /// Looks up `addr`, updating LRU recency on a hit.
+    pub fn probe(&mut self, addr: u64) -> Lookup {
+        match self.touch(addr) {
+            Some(way) => Lookup::Hit(way.state),
             None => Lookup::Miss,
+        }
+    }
+
+    /// [`probe`](Self::probe) for a demand reference: a hit also clears the
+    /// line's prefetched mark. Returns the line's state and whether the mark
+    /// was set, `None` on a miss.
+    pub fn probe_demand(&mut self, addr: u64) -> Option<(Mesi, bool)> {
+        let way = self.touch(addr)?;
+        Some((way.state, std::mem::take(&mut way.prefetched)))
+    }
+
+    /// Marks a resident line as filled by a prefetch (no-op if it is not
+    /// resident). The mark lasts until a
+    /// [`probe_demand`](Self::probe_demand) hit or until the line leaves the
+    /// cache.
+    pub fn mark_prefetched(&mut self, addr: u64) {
+        if let Some(i) = self.find(addr) {
+            self.ways[i].prefetched = true;
         }
     }
 
@@ -202,6 +232,7 @@ impl Cache {
             state,
             stamp: clock,
             valid: true,
+            prefetched: false,
             aux,
         };
         if victim.valid {
@@ -357,6 +388,20 @@ mod tests {
         assert_eq!(c.probe(0x80), Lookup::Miss);
         assert_eq!(c.invalidate(0x80), None);
         assert!(!c.set_aux(0x80, 7), "no resident line to tag");
+    }
+
+    #[test]
+    fn prefetched_mark_lasts_until_demand_hit_or_eviction() {
+        let mut c = Cache::new(CacheConfig::new(256, 64, 1)); // 4 sets
+        c.fill(0, Mesi::Exclusive);
+        c.mark_prefetched(0);
+        assert_eq!(c.probe(0), Lookup::Hit(Mesi::Exclusive), "probe keeps it");
+        assert_eq!(c.probe_demand(0), Some((Mesi::Exclusive, true)));
+        assert_eq!(c.probe_demand(0), Some((Mesi::Exclusive, false)));
+        c.mark_prefetched(0);
+        c.fill(256, Mesi::Exclusive); // evicts line 0 from the same set
+        assert_eq!(c.probe_demand(256), Some((Mesi::Exclusive, false)));
+        assert_eq!(c.probe_demand(0), None);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod cache;
 pub mod classify;
 pub mod config;
 pub mod lru;
-pub mod prefetch;
+mod prefetch;
 pub mod stats;
 pub mod system;
 pub mod tlb;

@@ -18,19 +18,19 @@
 //!   the corresponding L1 sub-lines. Each L2 way's `aux` tag holds the
 //!   virtual address its L1 sub-lines were filled under (or [`NO_VA`]), so
 //!   the sub-lines are found without a physical → virtual map.
-//! * Outside the sharing tracker's records of invalidated lines and the
-//!   prefetch tables, a reference hashes nothing: the TLB, the shadow
-//!   cache and the victim buffer index an [`LruSet`](crate::lru::LruSet)
-//!   by page or line number, and the directory and the cold-miss filter
-//!   are dense tables indexed by line number.
+//! * Outside the sharing tracker's records of invalidated lines, a
+//!   reference hashes nothing: the TLB, the shadow cache and the victim
+//!   buffer index an [`LruSet`](crate::lru::LruSet) by page or line
+//!   number; the directory is a dense table indexed by line number whose
+//!   entries also record which CPUs ever missed the line (the cold-miss
+//!   test); a prefetch-filled line is marked in its L2 way; and each CPU's
+//!   in-flight prefetches are a short list, one entry per slot.
 //! * A miss's latency is `service latency + bus queueing delay`; the data
 //!   transfer occupancy overlaps the service latency but serializes the bus
 //!   for later requesters, which is how contention appears (as in the
 //!   paper, where bus saturation more than doubles tomcatv's MCPI).
 
-use std::collections::{HashMap, HashSet};
-
-use cdpc_core::{DenseMap64, DenseSet64, FxBuildHasher};
+use cdpc_core::DenseMap64;
 use cdpc_obs::{LineState, NullProbe, PrefetchDropReason, Probe};
 use cdpc_vm::addr::{PhysAddr, VirtAddr, Vpn};
 use cdpc_vm::RegionMap;
@@ -39,7 +39,7 @@ use crate::bus::{Bus, BusUse};
 use crate::cache::{Cache, Evicted, Lookup, Mesi};
 use crate::classify::{MissClass, ShadowCache, SharingTracker};
 use crate::config::MemConfig;
-use crate::prefetch::PrefetchSlots;
+use crate::prefetch::InFlight;
 use crate::stats::{CpuStats, MemStats};
 use crate::tlb::Tlb;
 use crate::victim::VictimCache;
@@ -98,12 +98,15 @@ pub struct PrefetchOutcome {
     pub stall_cycles: u64,
 }
 
-/// One line's directory entry, packed into 8 bytes. A line no CPU holds
-/// reads as the default entry: no sharers, no owner.
+/// One line's directory entry, packed into 12 bytes. A line no CPU ever
+/// missed reads as the default entry: no sharers, no owner, never seen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DirEntry {
     /// Bitmask of CPUs holding the line.
     sharers: u32,
+    /// Bitmask of CPUs that have taken a demand L2 miss on the line: a miss
+    /// by any other CPU is cold. Never cleared, not even by a page flush.
+    seen: u32,
     /// CPU holding the line in `Modified` state, or [`NO_OWNER`].
     owner: u8,
 }
@@ -115,6 +118,7 @@ impl Default for DirEntry {
     fn default() -> Self {
         Self {
             sharers: 0,
+            seen: 0,
             owner: NO_OWNER,
         }
     }
@@ -132,13 +136,11 @@ impl DirEntry {
 /// address, so such a line invalidates nothing in the L1s.
 const NO_VA: u64 = u64::MAX;
 
-/// One processor's private hierarchy. Its demand path hashes nothing: the
-/// caches index by set, the TLB and the shadow cache through the dense
-/// index of their [`LruSet`](crate::lru::LruSet), and `seen_lines` by line
-/// number. The L1s keep no tag of their own: each L2 way's `aux` names the
-/// virtual address of its L1 sub-lines, for inclusion. Only the prefetch
-/// tables (`inflight`, `pf_filled`) hash, and runs without prefetching
-/// leave them empty.
+/// One processor's private hierarchy. It hashes nothing: the caches index
+/// by set, and the TLB and the shadow cache through the dense index of
+/// their [`LruSet`](crate::lru::LruSet). The L1s keep no tag of their own:
+/// each L2 way's `aux` names the virtual address of its L1 sub-lines, for
+/// inclusion, and its prefetched mark feeds prefetch-hit accounting.
 #[derive(Debug)]
 struct CpuMem {
     l1d: Cache,
@@ -148,21 +150,8 @@ struct CpuMem {
     tlb: Tlb,
     /// Keyed by L2-line number.
     shadow: ShadowCache,
-    /// L2-line *indices* (line address / line size) this CPU has ever
-    /// held — the cold-miss filter. Grows monotonically with the physical
-    /// footprint, so it lives in a dense bitmap rather than a hash set:
-    /// one probe per L2 miss must not become a DRAM miss into a
-    /// multi-megabyte table.
-    seen_lines: DenseSet64,
-    /// pa L2-line → (completion cycle, fill state) of in-flight prefetches.
-    inflight: HashMap<u64, (u64, Mesi), FxBuildHasher>,
-    /// Prefetch-filled lines not yet referenced by a demand access (for
-    /// prefetch-hit accounting).
-    pf_filled: HashSet<u64, FxBuildHasher>,
-    /// Reusable drain buffer for [`MemorySystem::complete_prefetches`], so
-    /// the per-reference completion sweep allocates nothing in steady state.
-    pf_done: Vec<(u64, u64, Mesi)>,
-    slots: PrefetchSlots,
+    /// Outstanding prefetches, at most `max_outstanding_prefetches`.
+    prefetches: InFlight,
     stats: CpuStats,
     victim: Option<VictimCache>,
 }
@@ -191,6 +180,11 @@ pub struct MemorySystem<P: Probe = NullProbe> {
     /// Page colors of the external cache
     /// (`l2_size / (page_size × associativity)`), for pa → color.
     num_colors: u32,
+    /// Bus occupancy of one L2-line transfer (fill or writeback), in
+    /// cycles.
+    line_bus_cycles: u64,
+    /// Bus occupancy of an upgrade, in cycles.
+    upgrade_bus_cycles: u64,
     /// Demand references plus issued prefetches over the system's whole
     /// life — unlike [`CpuStats`], *not* cleared by
     /// [`reset_stats`](Self::reset_stats). This is the denominator-free
@@ -221,11 +215,16 @@ impl<P: Probe> MemorySystem<P> {
     /// # Panics
     ///
     /// Panics if `cfg.num_cpus` is zero or exceeds 32 (the directory uses a
-    /// 32-bit sharer mask; the paper simulates at most 16).
+    /// 32-bit sharer mask; the paper simulates at most 16), or if
+    /// `cfg.max_outstanding_prefetches` is zero.
     pub fn with_probe(cfg: MemConfig, probe: P) -> Self {
         assert!(
             (1..=MAX_CPUS).contains(&cfg.num_cpus),
             "1..={MAX_CPUS} CPUs supported"
+        );
+        assert!(
+            cfg.max_outstanding_prefetches > 0,
+            "at least one prefetch slot is required"
         );
         // Line-number-indexed tables allocate one page of lines at a time.
         let page_lines = (cfg.page_size / cfg.l2.line_bytes())
@@ -238,11 +237,7 @@ impl<P: Probe> MemorySystem<P> {
                 l2: Cache::new(cfg.l2),
                 tlb: Tlb::new(cfg.tlb_entries),
                 shadow: ShadowCache::new(cfg.l2.num_lines(), page_lines),
-                seen_lines: DenseSet64::new(),
-                inflight: Default::default(),
-                pf_filled: Default::default(),
-                pf_done: Vec::new(),
-                slots: PrefetchSlots::new(cfg.max_outstanding_prefetches),
+                prefetches: InFlight::default(),
                 stats: CpuStats::default(),
                 victim: (cfg.victim_cache_lines > 0).then(|| {
                     VictimCache::new(cfg.victim_cache_lines, cfg.l2.line_shift(), page_lines)
@@ -254,6 +249,8 @@ impl<P: Probe> MemorySystem<P> {
         // color instead of a panic.
         let num_colors =
             (cfg.l2.size_bytes() / (cfg.page_size * cfg.l2.associativity())).max(1) as u32;
+        let line_bus_cycles = cfg.bus_occupancy_cycles(cfg.l2.line_bytes() as u64);
+        let upgrade_bus_cycles = cfg.bus_occupancy_cycles(cfg.upgrade_bus_bytes);
         Self {
             cfg,
             cpus,
@@ -263,6 +260,8 @@ impl<P: Probe> MemorySystem<P> {
             probe,
             regions: RegionMap::default(),
             num_colors,
+            line_bus_cycles,
+            upgrade_bus_cycles,
             lifetime_refs: 0,
         }
     }
@@ -395,7 +394,7 @@ impl<P: Probe> MemorySystem<P> {
         // Prefetch-completion sweep, skipped entirely when nothing is in
         // flight (the common case): the sweep is a no-op then, so eliding
         // the call cannot change any state.
-        if !self.cpus[cpu].inflight.is_empty() {
+        if !self.cpus[cpu].prefetches.is_empty() {
             self.complete_prefetches(cpu, now);
         }
 
@@ -428,23 +427,18 @@ impl<P: Probe> MemorySystem<P> {
         let sub = self.sub_block_of(pa.0);
 
         // L2 probe.
-        let l2_state = self.cpus[cpu].l2.probe(pa_l2_line).state();
+        let l2_hit = self.cpus[cpu].l2.probe_demand(pa_l2_line);
         // The fully-associative shadow cache sees the same reference stream
         // as the L2 (L1 misses only), instruction lines included.
         let fa_hit = self.cpus[cpu].shadow.reference(line_no);
 
-        if let Some(state) = l2_state {
+        if let Some((state, prefetched)) = l2_hit {
             let hit_cycles = self.cfg.l2_hit_cycles();
             latency += hit_cycles;
-            self.cpus[cpu].stats.l2_hits += 1;
-            self.cpus[cpu].stats.l2_hit_stall_cycles += hit_cycles;
-            // The emptiness gate keeps prefetch-hit bookkeeping off the
-            // hit path of runs that never prefetch (removal from an empty
-            // set is a no-op either way).
-            if !self.cpus[cpu].pf_filled.is_empty() && self.cpus[cpu].pf_filled.remove(&pa_l2_line)
-            {
-                self.cpus[cpu].stats.prefetch_hits += 1;
-            }
+            let stats = &mut self.cpus[cpu].stats;
+            stats.l2_hits += 1;
+            stats.l2_hit_stall_cycles += hit_cycles;
+            stats.prefetch_hits += prefetched as u64;
             if is_write {
                 latency += self.write_touch_in_state(cpu, now, pa_l2_line, sub, state);
             }
@@ -458,7 +452,7 @@ impl<P: Probe> MemorySystem<P> {
         }
 
         // In-flight prefetch?
-        if let Some(&(completion, _state)) = self.cpus[cpu].inflight.get(&pa_l2_line) {
+        if let Some(completion) = self.cpus[cpu].prefetches.live(pa_l2_line) {
             let wait = completion.saturating_sub(now);
             self.complete_prefetches(cpu, completion.max(now));
             let hit_cycles = self.cfg.l2_hit_cycles();
@@ -509,17 +503,19 @@ impl<P: Probe> MemorySystem<P> {
         }
 
         // Full external-cache miss. Classify first (coherence beats
-        // replacement; cold only when the CPU never saw the line).
+        // replacement; cold only when the CPU never missed the line).
+        let mut entry = self.dir(pa_l2_line);
         let class = if let Some(c) = self.sharing.classify_refetch(pa_l2_line, cpu, sub) {
             c
-        } else if !self.cpus[cpu].seen_lines.contains(line_no) {
+        } else if entry.seen & (1 << cpu) == 0 {
             MissClass::Cold
         } else if fa_hit {
             MissClass::Conflict
         } else {
             MissClass::Capacity
         };
-        self.cpus[cpu].seen_lines.insert(line_no);
+        entry.seen |= 1 << cpu;
+        self.set_dir(pa_l2_line, entry);
 
         let (service_latency, serviced_by, fill_state) =
             self.service_miss(cpu, now, pa_l2_line, sub, is_write);
@@ -582,7 +578,7 @@ impl<P: Probe> MemorySystem<P> {
         }
         self.complete_prefetches(cpu, now);
         let resident = matches!(self.cpus[cpu].l2.peek(pa_l2_line), Lookup::Hit(_))
-            || self.cpus[cpu].inflight.contains_key(&pa_l2_line)
+            || self.cpus[cpu].prefetches.live(pa_l2_line).is_some()
             || self.cpus[cpu]
                 .victim
                 .as_ref()
@@ -597,27 +593,24 @@ impl<P: Probe> MemorySystem<P> {
             };
         }
         self.lifetime_refs += 1;
-        let grant = self.cpus[cpu].slots.reserve(now);
-        let issue_at = grant.issue_at;
+        let issue_at = self.cpus[cpu]
+            .prefetches
+            .slot_free_at(now, self.cfg.max_outstanding_prefetches);
+        let stall_cycles = issue_at - now;
         self.complete_prefetches(cpu, issue_at);
         let sub = self.sub_block_of(pa.0);
         let (service_latency, _serviced_by, fill_state) =
             self.service_miss(cpu, issue_at, pa_l2_line, sub, exclusive);
-        let completion = issue_at + service_latency;
-        self.cpus[cpu].slots.occupy(completion);
-        self.cpus[cpu]
-            .inflight
-            .insert(pa_l2_line, (completion, fill_state));
-        {
-            let stats = &mut self.cpus[cpu].stats;
-            stats.prefetches_issued += 1;
-            stats.prefetch_slot_stall_cycles += grant.stall_cycles;
-        }
+        let c = &mut self.cpus[cpu];
+        c.prefetches
+            .push(issue_at + service_latency, pa_l2_line, fill_state);
+        c.stats.prefetches_issued += 1;
+        c.stats.prefetch_slot_stall_cycles += stall_cycles;
         self.probe
-            .on_prefetch_issued(cpu, issue_at, pa_l2_line, grant.stall_cycles);
+            .on_prefetch_issued(cpu, issue_at, pa_l2_line, stall_cycles);
         PrefetchOutcome {
             issued: true,
-            stall_cycles: grant.stall_cycles,
+            stall_cycles,
         }
     }
 
@@ -628,8 +621,8 @@ impl<P: Probe> MemorySystem<P> {
         }
     }
 
-    /// Flushes every cached line of one physical page from every
-    /// processor's hierarchy (the cache side of a page recoloring or
+    /// Flushes every cached or in-flight line of one physical page from
+    /// every processor's hierarchy (the cache side of a page recoloring or
     /// unmap). Dirty lines are written back over the bus at time `now`.
     pub fn flush_physical_page(&mut self, now: u64, page_base: PhysAddr) {
         let line = self.cfg.l2.line_bytes() as u64;
@@ -649,13 +642,18 @@ impl<P: Probe> MemorySystem<P> {
                 };
                 if let Some(state) = held {
                     if state == Mesi::Modified {
-                        let occ = self.cfg.bus_occupancy_cycles(line);
-                        self.bus_request(now, occ, BusUse::Writeback);
+                        self.bus_request(now, self.line_bus_cycles, BusUse::Writeback);
                     }
                     self.drop_line(cpu, line_addr);
+                } else if self.cpus[cpu].prefetches.cancel(line_addr) {
+                    self.probe.on_line_state(cpu, line_addr, LineState::Invalid);
                 }
             }
-            self.set_dir(line_addr, DirEntry::default());
+            let entry = DirEntry {
+                seen: self.dir(line_addr).seen,
+                ..DirEntry::default()
+            };
+            self.set_dir(line_addr, entry);
         }
         self.probe.on_page_flush(page_base.0, page);
     }
@@ -723,7 +721,7 @@ impl<P: Probe> MemorySystem<P> {
             for cpu in 0..self.cfg.num_cpus {
                 if entry.sharers & (1 << cpu) != 0 {
                     let resident = matches!(self.cpus[cpu].l2.peek(line), Lookup::Hit(_));
-                    let in_flight = self.cpus[cpu].inflight.contains_key(&line);
+                    let in_flight = self.cpus[cpu].prefetches.live(line).is_some();
                     let in_vc = self.cpus[cpu]
                         .victim
                         .as_ref()
@@ -776,19 +774,17 @@ impl<P: Probe> MemorySystem<P> {
     ) -> u64 {
         let mut extra = 0;
         if state.needs_upgrade_for_write() {
-            let occ = self.cfg.bus_occupancy_cycles(self.cfg.upgrade_bus_bytes);
-            let grant = self.bus_request(now, occ, BusUse::Upgrade);
+            let grant = self.bus_request(now, self.upgrade_bus_cycles, BusUse::Upgrade);
             extra += grant.total_cycles();
             self.cpus[cpu].stats.upgrade_stall_cycles += grant.total_cycles();
             self.invalidate_other_copies(cpu, pa_l2_line, sub);
             self.cpus[cpu].l2.set_state(pa_l2_line, Mesi::Modified);
-            self.set_dir(
-                pa_l2_line,
-                DirEntry {
-                    sharers: 1 << cpu,
-                    owner: cpu as u8,
-                },
-            );
+            let entry = DirEntry {
+                sharers: 1 << cpu,
+                owner: cpu as u8,
+                ..self.dir(pa_l2_line)
+            };
+            self.set_dir(pa_l2_line, entry);
             self.probe
                 .on_line_state(cpu, pa_l2_line, LineState::Modified);
         } else if state == Mesi::Exclusive {
@@ -816,8 +812,8 @@ impl<P: Probe> MemorySystem<P> {
         }
     }
 
-    /// Removes a line from one CPU's L2, L1s, shadow cache, and in-flight
-    /// prefetch set (coherence invalidation).
+    /// Removes a line from one CPU's L2, L1s, shadow cache and victim
+    /// buffer, and cancels its in-flight prefetch (coherence invalidation).
     fn drop_line(&mut self, cpu: CpuId, pa_l2_line: u64) {
         self.probe
             .on_line_state(cpu, pa_l2_line, LineState::Invalid);
@@ -825,8 +821,7 @@ impl<P: Probe> MemorySystem<P> {
         let c = &mut self.cpus[cpu];
         let dropped = c.l2.invalidate(pa_l2_line);
         c.shadow.invalidate(line_no);
-        c.inflight.remove(&pa_l2_line);
-        c.pf_filled.remove(&pa_l2_line);
+        c.prefetches.cancel(pa_l2_line);
         if let Some(vc) = c.victim.as_mut() {
             vc.invalidate(pa_l2_line);
         }
@@ -866,9 +861,6 @@ impl<P: Probe> MemorySystem<P> {
     ) -> (u64, ServicedBy, Mesi) {
         let entry = self.dir(pa_l2_line);
         let others = entry.sharers & !(1u32 << cpu);
-        let occ = self
-            .cfg
-            .bus_occupancy_cycles(self.cfg.l2.line_bytes() as u64);
         let (base, source) = match entry.dirty_owner() {
             Some(owner) if owner != cpu => {
                 // Cache-to-cache transfer.
@@ -914,7 +906,7 @@ impl<P: Probe> MemorySystem<P> {
                 (self.cfg.mem_latency_cycles(), ServicedBy::Memory)
             }
         };
-        let grant = self.bus_request(now, occ, BusUse::Data);
+        let grant = self.bus_request(now, self.line_bus_cycles, BusUse::Data);
         let latency = base + grant.queue_cycles;
 
         let mut entry = self.dir(pa_l2_line);
@@ -951,9 +943,6 @@ impl<P: Probe> MemorySystem<P> {
             aux: va_l2_line,
             ..
         } = evicted;
-        // A prefetched line displaced before its first demand use is a
-        // wasted prefetch, not a future prefetch hit.
-        self.cpus[cpu].pf_filled.remove(&victim_line);
         // With a victim cache, the line stays on this CPU (directory
         // rights included); only a line falling out of the victim buffer
         // is truly released.
@@ -978,10 +967,7 @@ impl<P: Probe> MemorySystem<P> {
     fn release_line(&mut self, cpu: CpuId, now: u64, line: u64, dirty: bool) {
         self.probe.on_line_state(cpu, line, LineState::Invalid);
         if dirty {
-            let occ = self
-                .cfg
-                .bus_occupancy_cycles(self.cfg.l2.line_bytes() as u64);
-            self.bus_request(now, occ, BusUse::Writeback);
+            self.bus_request(now, self.line_bus_cycles, BusUse::Writeback);
         }
         let mut entry = self.dir(line);
         entry.sharers &= !(1u32 << cpu);
@@ -1005,26 +991,15 @@ impl<P: Probe> MemorySystem<P> {
         l1.fill(va_line, Mesi::Exclusive);
     }
 
-    /// Applies all prefetch fills whose completion time has passed.
+    /// Retires every prefetch completed by `now`, earliest first (ties by
+    /// line address), filling the L2 from each one not cancelled.
     fn complete_prefetches(&mut self, cpu: CpuId, now: u64) {
-        if self.cpus[cpu].inflight.is_empty() {
-            return;
-        }
-        // Drain into the per-CPU scratch buffer (no allocation in steady
-        // state) and apply fills ordered by completion time, ties broken by
-        // line address — a physical order, not an artifact of map layout.
-        let mut done = std::mem::take(&mut self.cpus[cpu].pf_done);
-        done.clear();
-        done.extend(
-            self.cpus[cpu]
-                .inflight
-                .iter()
-                .filter(|&(_, &(c, _))| c <= now)
-                .map(|(&line, &(c, s))| (c, line, s)),
-        );
-        done.sort_unstable_by_key(|&(c, line, _)| (c, line));
-        for &(completion, line, recorded) in &done {
-            self.cpus[cpu].inflight.remove(&line);
+        while let Some(done) = self.cpus[cpu].prefetches.pop_due(now) {
+            // A cancelled prefetch only held its slot.
+            let Some(recorded) = done.state else {
+                continue;
+            };
+            let line = done.line;
             // A racing invalidation may have removed the entry's directory
             // rights; only fill if we still appear as a sharer. The fill
             // state is re-derived from the directory: another CPU may have
@@ -1049,12 +1024,10 @@ impl<P: Probe> MemorySystem<P> {
                 Mesi::Shared
             };
             if !matches!(self.cpus[cpu].l2.peek(line), Lookup::Hit(_)) {
-                self.fill_l2(cpu, completion, line, state);
-                self.cpus[cpu].pf_filled.insert(line);
+                self.fill_l2(cpu, done.completion, line, state);
+                self.cpus[cpu].l2.mark_prefetched(line);
             }
         }
-        done.clear();
-        self.cpus[cpu].pf_done = done;
     }
 }
 
@@ -1346,14 +1319,57 @@ mod tests {
         // Dirty line written back.
         let (_, wb_after, _) = m.stats().bus_occupancy;
         assert!(wb_after > wb_before, "modified line must be written back");
-        // Next accesses miss again (cold was consumed, so they classify as
-        // replacement/coherence — the point is they MISS).
+        // Next accesses miss again. The flush forgets neither CPU's first
+        // miss, and it dropped the lines from the shadow caches too.
         let out0 = m.access(0, 2_000, va(0x1000), pa(0x1000), AccessKind::Read);
-        assert_ne!(out0.serviced_by, ServicedBy::L1);
-        assert_ne!(out0.serviced_by, ServicedBy::L2);
+        assert_eq!(out0.serviced_by, ServicedBy::Memory);
+        assert_eq!(out0.miss_class, Some(MissClass::Capacity));
         let out1 = m.access(1, 3_000, va(0x1080), pa(0x1080), AccessKind::Read);
-        assert_ne!(out1.serviced_by, ServicedBy::L1);
-        assert_ne!(out1.serviced_by, ServicedBy::L2);
+        assert_eq!(out1.serviced_by, ServicedBy::Memory);
+        assert_eq!(out1.miss_class, Some(MissClass::Capacity));
+    }
+
+    #[test]
+    fn flush_cancels_in_flight_prefetches() {
+        use cdpc_obs::LineState as S;
+        let mut m = MemorySystem::with_probe(small_cfg(2), StateLog::default());
+        m.access(0, 0, va(0x1000), pa(0x1000), AccessKind::Read);
+        assert!(m.prefetch(0, 1_000, va(0x1080), pa(0x1080), false).issued);
+        let done = m.cpus[0].prefetches.live(0x1080).expect("in flight");
+        assert!(1_040 < done, "the accesses below precede its completion");
+        m.flush_physical_page(1_010, pa(0x1000));
+        assert!(
+            m.probe().events.contains(&(0, 0x1080, S::Invalid)),
+            "the flush reports the dropped claim"
+        );
+        m.access(1, 1_020, va(0x1080), pa(0x1080), AccessKind::Read);
+        // CPU 0 misses, then upgrades the line it now shares with CPU 1.
+        let read = m.access(0, 1_030, va(0x1080), pa(0x1080), AccessKind::Read);
+        assert_eq!(read.miss_class, Some(MissClass::Cold));
+        let write = m.access(0, 1_040, va(0x1080), pa(0x1080), AccessKind::Write);
+        assert!(
+            write.latency_cycles > 0,
+            "a write to a shared line upgrades"
+        );
+        assert_eq!(m.stats().cpus[0].prefetch_hits, 0);
+        m.validate_coherence();
+    }
+
+    #[test]
+    fn cancelled_prefetch_holds_its_slot_until_completion() {
+        let mut cfg = small_cfg(2);
+        cfg.max_outstanding_prefetches = 1;
+        let mut m = MemorySystem::new(cfg);
+        m.access(0, 0, va(0x1000), pa(0x1000), AccessKind::Read);
+        assert!(m.prefetch(0, 1_000, va(0x1080), pa(0x1080), false).issued);
+        let done = m.cpus[0].prefetches.live(0x1080).expect("in flight");
+        // CPU 1's write miss invalidates CPU 0's claim on the line.
+        m.access(1, 1_010, va(0x1080), pa(0x1080), AccessKind::Write);
+        assert_eq!(m.cpus[0].prefetches.live(0x1080), None);
+        let pf = m.prefetch(0, 1_020, va(0x1100), pa(0x1100), false);
+        assert!(pf.issued);
+        assert_eq!(pf.stall_cycles, done - 1_020, "the only slot is still busy");
+        m.validate_coherence();
     }
 
     #[test]
