@@ -6,16 +6,14 @@
 //! cargo run --release -p cdpc-bench --bin reproduce -- fig6 --scale 64 --json fig6.json
 //! ```
 //!
-//! With no name, every registry entry runs at its committed scale on a
-//! fresh [`Setup`] and writes its files into `results/`; `--threads` is the
-//! only flag accepted. `git diff --exit-code -- results/` afterwards is the
-//! golden check. With names, each experiment runs on the setup the shared
-//! flags describe and prints its first file to stdout. Either way the exit
-//! status is 1 if an experiment's own gate failed.
+//! With no name, the entries of each committed scale run as one pool on a
+//! fresh [`Setup`] and write their files into `results/`; `--threads` is
+//! the only flag accepted. `git diff --exit-code -- results/` afterwards is
+//! the golden check. With names, the named entries run as one pool on the
+//! setup the shared flags describe and each prints its first file. Either
+//! way the exit status is 1 if an experiment's own gate failed.
 
-use std::time::Instant;
-
-use cdpc_bench::experiments::{find, results_dir, REGISTRY};
+use cdpc_bench::experiments::{find, results_dir, run_entries, REGISTRY};
 use cdpc_bench::{exit_with_error, write_text, Setup};
 
 fn main() {
@@ -44,21 +42,22 @@ fn main() {
                 pair[0]
             ));
         }
-        let dir = results_dir();
-        for e in REGISTRY {
-            let start = Instant::now();
-            let mut fresh = Setup::with_scale(e.scale);
+        let mut scales: Vec<u64> = REGISTRY.iter().map(|e| e.scale).collect();
+        scales.sort_unstable();
+        scales.dedup();
+        for scale in scales {
+            let entries: Vec<_> = REGISTRY.iter().filter(|e| e.scale == scale).collect();
+            let mut fresh = Setup::with_scale(scale);
             fresh.threads = setup.threads;
-            let out = (e.run)(&fresh);
-            for (file, bytes) in e.files.iter().zip(&out.bytes) {
-                write_text(&dir.join(file), bytes);
+            for (e, out) in entries.iter().zip(run_entries(&fresh, &entries)) {
+                for (file, bytes) in e.files.iter().zip(&out.bytes) {
+                    write_text(&results_dir().join(file), bytes);
+                }
+                failures.extend(out.failure.map(|f| format!("{}: {f}", e.name)));
             }
-            eprintln!("{}: {:.1} s", e.name, start.elapsed().as_secs_f64());
-            failures.extend(out.failure.map(|f| format!("{}: {f}", e.name)));
         }
     } else {
-        for e in named {
-            let out = (e.run)(&setup);
+        for (e, out) in named.iter().zip(run_entries(&setup, &named)) {
             print!("{}", out.bytes[0]);
             failures.extend(out.failure.map(|f| format!("{}: {f}", e.name)));
         }

@@ -17,7 +17,7 @@ use super::*;
 use cdpc_core::HintOptions;
 use cdpc_machine::{RunConfig, SweepJob};
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpus = 8;
     let variants: [(&str, HintOptions); 5] = [
@@ -69,36 +69,36 @@ pub(super) fn run(setup: &Setup) -> Output {
             jobs.push(SweepJob::new(compiled.clone(), cfg));
         }
     }
-    let mut reports = setup.run_jobs(&jobs).into_iter();
-
-    for bench in &benches {
-        writeln!(out, "== {} ==", bench.name);
-        table::header(
-            &mut out,
-            &["variant", "time", "conflict-stall", "vs full"],
-            &[12, 10, 14, 8],
-        );
-        let mut full_time = 0u64;
-        for (label, _) in variants {
-            let r = reports.next().expect("one report per variant");
-            if label == "full" {
-                full_time = r.elapsed_cycles;
-            }
-            writeln!(
-                out,
-                "{:>12} {:>10} {:>14} {:>8}",
-                label,
-                table::cycles(r.elapsed_cycles),
-                table::cycles(r.stalls.conflict),
-                table::ratio(full_time as f64 / r.elapsed_cycles.max(1) as f64),
+    Plan::new(jobs, move |reports| {
+        for bench in &benches {
+            writeln!(out, "== {} ==", bench.name);
+            table::header(
+                &mut out,
+                &["variant", "time", "conflict-stall", "vs full"],
+                &[12, 10, 14, 8],
             );
+            let mut full_time = 0u64;
+            for (label, _) in variants {
+                let r = reports.next().expect("one report per variant");
+                if label == "full" {
+                    full_time = r.elapsed_cycles;
+                }
+                writeln!(
+                    out,
+                    "{:>12} {:>10} {:>14} {:>8}",
+                    label,
+                    table::cycles(r.elapsed_cycles),
+                    table::cycles(r.stalls.conflict),
+                    table::ratio(full_time as f64 / r.elapsed_cycles.max(1) as f64),
+                );
+            }
+            writeln!(out);
         }
-        writeln!(out);
-    }
-    writeln!(
-        out,
-        "vs full > 1.00x would mean the ablated variant beats the full\n\
+        writeln!(
+            out,
+            "vs full > 1.00x would mean the ablated variant beats the full\n\
          algorithm — each step should be neutral-or-better to keep."
-    );
-    Output::text(out)
+        );
+        Output::text(out)
+    })
 }

@@ -14,7 +14,7 @@ use cdpc_obs::JsonValue;
 /// CPU counts the paper's experiments sweep; lint the extremes.
 const CPU_POINTS: [usize; 2] = [4, 16];
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut reports = Vec::new();
     let mut errors = 0usize;
     let mut warns = 0usize;
@@ -68,8 +68,8 @@ pub(super) fn run(setup: &Setup) -> Output {
     doc.push("unallowed_errors", JsonValue::UInt(errors as u64));
     doc.push("reports", JsonValue::Array(reports));
     eprintln!("lint: {errors} unallowed errors, {warns} warnings across the suite");
-    Output {
+    Plan::from(Output {
         bytes: vec![doc.to_string_pretty()],
         failure: (errors > 0).then(|| format!("{errors} unallowed lint errors")),
-    }
+    })
 }

@@ -11,13 +11,13 @@
 use super::*;
 use cdpc_machine::{attribution_to_html, attribution_to_json, run_attributed};
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let bench = cdpc_workloads::by_name("tomcatv").expect("benchmark exists");
     let job = setup.job(&bench, Preset::Base1MbDm, 4, PolicyKind::Cdpc, false, true);
     let (report, probe) = run_attributed(&job.compiled, &job.cfg);
     let doc = attribution_to_json(&probe, &job.compiled.array_names(), &report);
-    Output {
+    Plan::from(Output {
         bytes: vec![doc.to_string_pretty(), attribution_to_html(&doc)],
         failure: None,
-    }
+    })
 }

@@ -18,7 +18,7 @@
 use super::*;
 use cdpc_machine::{RunConfig, SweepJob};
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpus = 8;
     writeln!(
@@ -44,37 +44,37 @@ pub(super) fn run(setup: &Setup) -> Output {
             jobs.push(SweepJob::new(compiled.clone(), cfg));
         }
     }
-    let mut reports = setup.run_jobs(&jobs).into_iter();
-
-    for bench in &benches {
-        writeln!(out, "== {} ==", bench.name);
-        table::header(
-            &mut out,
-            &["policy", "time", "conflict-stall", "recolorings", "vs PC"],
-            &[16, 10, 14, 12, 8],
-        );
-        let mut pc_time = 0u64;
-        for &(policy, threshold) in &variants {
-            let r = reports.next().expect("one report per variant");
-            if policy == PolicyKind::PageColoring {
-                pc_time = r.elapsed_cycles;
-            }
-            let label = if policy == PolicyKind::DynamicRecolor {
-                format!("dynamic(t={threshold})")
-            } else {
-                r.policy.clone()
-            };
-            writeln!(
-                out,
-                "{:<16} {:>10} {:>14} {:>12} {:>8}",
-                label,
-                table::cycles(r.elapsed_cycles),
-                table::cycles(r.stalls.conflict),
-                r.recolorings,
-                table::ratio(pc_time as f64 / r.elapsed_cycles.max(1) as f64),
+    Plan::new(jobs, move |reports| {
+        for bench in &benches {
+            writeln!(out, "== {} ==", bench.name);
+            table::header(
+                &mut out,
+                &["policy", "time", "conflict-stall", "recolorings", "vs PC"],
+                &[16, 10, 14, 12, 8],
             );
+            let mut pc_time = 0u64;
+            for &(policy, threshold) in &variants {
+                let r = reports.next().expect("one report per variant");
+                if policy == PolicyKind::PageColoring {
+                    pc_time = r.elapsed_cycles;
+                }
+                let label = if policy == PolicyKind::DynamicRecolor {
+                    format!("dynamic(t={threshold})")
+                } else {
+                    r.policy.clone()
+                };
+                writeln!(
+                    out,
+                    "{:<16} {:>10} {:>14} {:>12} {:>8}",
+                    label,
+                    table::cycles(r.elapsed_cycles),
+                    table::cycles(r.stalls.conflict),
+                    r.recolorings,
+                    table::ratio(pc_time as f64 / r.elapsed_cycles.max(1) as f64),
+                );
+            }
+            writeln!(out);
         }
-        writeln!(out);
-    }
-    Output::text(out)
+        Output::text(out)
+    })
 }

@@ -9,7 +9,7 @@
 use super::*;
 use cdpc_compiler::CompiledStmt;
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpus = 4;
     for bench in benches(&["tomcatv", "apsi", "fpppp"]) {
@@ -52,5 +52,5 @@ pub(super) fn run(setup: &Setup) -> Output {
             s.shared_arrays.len()
         );
     }
-    Output::text(out)
+    Output::text(out).into()
 }

@@ -13,7 +13,7 @@
 
 use super::*;
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpu_counts = [1usize, 2, 4, 8, 16];
     writeln!(
@@ -24,27 +24,27 @@ pub(super) fn run(setup: &Setup) -> Output {
 
     let benches = cdpc_workloads::all();
     let configs = [(PolicyKind::PageColoring, false, true)];
-    let mut reports = sweep(setup, &[Preset::Base1MbDm], &benches, &cpu_counts, &configs);
-
-    for bench in &benches {
-        writeln!(out, "== {} ==", bench.name);
-        table::header(
-            &mut out,
-            &[
-                "cpus", "combined", "exec%", "mem%", "ovhd%", "| kern", "imbal", "seq", "suppr",
-                "sync", "| MCPI", "repl", "comm", "| bus",
-            ],
-            &[4, 9, 6, 6, 6, 6, 6, 6, 6, 6, 7, 6, 6, 6],
-        );
-        for &cpus in &cpu_counts {
-            let r = reports.next().expect("one report per job");
-            let total = (r.exec_cycles + r.stalls.total() + r.overheads.total()).max(1);
-            let o = &r.overheads;
-            let mcpi = r.mcpi();
-            let repl_mcpi = r.stalls.replacement() as f64 / r.instructions.max(1) as f64;
-            let comm_mcpi = (r.stalls.true_sharing + r.stalls.false_sharing) as f64
-                / r.instructions.max(1) as f64;
-            writeln!(out, "{:>4} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7.3} {:>6.3} {:>6.3} {:>6}",
+    let jobs = sweep(setup, &[Preset::Base1MbDm], &benches, &cpu_counts, &configs);
+    Plan::new(jobs, move |reports| {
+        for bench in &benches {
+            writeln!(out, "== {} ==", bench.name);
+            table::header(
+                &mut out,
+                &[
+                    "cpus", "combined", "exec%", "mem%", "ovhd%", "| kern", "imbal", "seq",
+                    "suppr", "sync", "| MCPI", "repl", "comm", "| bus",
+                ],
+                &[4, 9, 6, 6, 6, 6, 6, 6, 6, 6, 7, 6, 6, 6],
+            );
+            for &cpus in &cpu_counts {
+                let r = reports.next().expect("one report per job");
+                let total = (r.exec_cycles + r.stalls.total() + r.overheads.total()).max(1);
+                let o = &r.overheads;
+                let mcpi = r.mcpi();
+                let repl_mcpi = r.stalls.replacement() as f64 / r.instructions.max(1) as f64;
+                let comm_mcpi = (r.stalls.true_sharing + r.stalls.false_sharing) as f64
+                    / r.instructions.max(1) as f64;
+                writeln!(out, "{:>4} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7.3} {:>6.3} {:>6.3} {:>6}",
                 cpus,
                 table::cycles(total),
                 table::pct(r.exec_cycles as f64 / total as f64),
@@ -60,8 +60,9 @@ pub(super) fn run(setup: &Setup) -> Output {
                 comm_mcpi,
                 table::pct(r.bus.utilization),
             );
+            }
+            writeln!(out);
         }
-        writeln!(out);
-    }
-    Output::text(out)
+        Output::text(out)
+    })
 }

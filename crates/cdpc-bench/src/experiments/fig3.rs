@@ -16,7 +16,7 @@ use cdpc_compiler::{CompiledProgram, CompiledStmt};
 /// Processor count of Figures 3 and 5.
 pub(super) const CPUS: usize = 16;
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     writeln!(
         out,
@@ -42,7 +42,7 @@ pub(super) fn run(setup: &Setup) -> Output {
         "Each column is a bucket of consecutive virtual pages; '#' = the CPU\n\
          touches at least one page in the bucket. Note the sparse, strided rows."
     );
-    Output::text(out)
+    Output::text(out).into()
 }
 
 /// For tomcatv, swim and hydro2d, writes a caption line and then one row

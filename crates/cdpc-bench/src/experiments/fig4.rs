@@ -17,7 +17,7 @@ use cdpc_vm::addr::{VirtAddr, Vpn};
 
 /// The walkthrough is a fixed-size example that runs no simulations, so
 /// it ignores the setup.
-pub(super) fn run(_: &Setup) -> Output {
+pub(super) fn run(_: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let page = 4096u64;
     let a = ArrayId(0);
@@ -112,5 +112,5 @@ pub(super) fn run(_: &Setup) -> Output {
         "\nThe starting pages of A (vpn 0) and B (vpn 8) now differ in color:\n    \
          A starts at {a0:?}, B at {b0:?}"
     );
-    Output::text(out)
+    Output::text(out).into()
 }

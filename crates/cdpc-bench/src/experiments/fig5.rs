@@ -9,7 +9,7 @@
 use super::*;
 use cdpc_core::{generate_hints, MachineParams};
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     writeln!(
         out,
@@ -31,5 +31,5 @@ pub(super) fn run(setup: &Setup) -> Output {
         "Each column is a bucket of consecutive positions in the CDPC page order\n\
          (color = position mod #colors). Each CPU's pages now form dense runs."
     );
-    Output::text(out)
+    Output::text(out).into()
 }

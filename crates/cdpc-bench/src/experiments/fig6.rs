@@ -11,7 +11,7 @@ use super::*;
 
 const CPU_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     writeln!(
         out,
@@ -23,18 +23,16 @@ pub(super) fn run(setup: &Setup) -> Output {
         setup.scale
     );
     let benches = cdpc_workloads::all();
-    let mut reports = reports(setup, &[Preset::Base1MbDm], &benches);
-    tables(&mut out, &benches, &mut reports);
-    Output::text(out)
+    let jobs = jobs(setup, &[Preset::Base1MbDm], &benches);
+    Plan::new(jobs, move |reports| {
+        tables(&mut out, &benches, reports);
+        Output::text(out)
+    })
 }
 
-/// The PC and CDPC reports of every benchmark at every CPU count on each
-/// preset, in the order [`tables`] reads them (Figures 6 and 7).
-pub(super) fn reports(
-    setup: &Setup,
-    presets: &[Preset],
-    benches: &[Benchmark],
-) -> std::vec::IntoIter<RunReport> {
+/// The PC and CDPC jobs of every benchmark at every CPU count on each
+/// preset, in the order [`tables`] reads their reports (Figures 6 and 7).
+pub(super) fn jobs(setup: &Setup, presets: &[Preset], benches: &[Benchmark]) -> Vec<SweepJob> {
     let configs = [
         (PolicyKind::PageColoring, false, true),
         (PolicyKind::Cdpc, false, true),
@@ -42,7 +40,7 @@ pub(super) fn reports(
     sweep(setup, presets, benches, &CPU_COUNTS, &configs)
 }
 
-/// One table per benchmark over [`reports`].
+/// One table per benchmark over the reports of [`jobs`].
 pub(super) fn tables(
     out: &mut Text,
     benches: &[Benchmark],

@@ -9,7 +9,7 @@
 
 use super::*;
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let benches = benches(&[
         "tomcatv", "swim", "su2cor", "hydro2d", "mgrid", "applu", "turb3d",
@@ -18,10 +18,12 @@ pub(super) fn run(setup: &Setup) -> Output {
         ("1MB two-way set-associative", Preset::TwoWay1Mb),
         ("4MB direct-mapped", Preset::FourMbDm),
     ];
-    let mut reports = fig6::reports(setup, &presets.map(|(_, preset)| preset), &benches);
-    for (title, _) in presets {
-        writeln!(out, "Figure 7 ({title}, scale {}):\n", setup.scale);
-        fig6::tables(&mut out, &benches, &mut reports);
-    }
-    Output::text(out)
+    let jobs = fig6::jobs(setup, &presets.map(|(_, preset)| preset), &benches);
+    Plan::new(jobs, move |reports| {
+        for (title, _) in presets {
+            writeln!(out, "Figure 7 ({title}, scale {}):\n", setup.scale);
+            fig6::tables(&mut out, &benches, reports);
+        }
+        Output::text(out)
+    })
 }

@@ -11,7 +11,7 @@
 
 use super::*;
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpu_counts = [1usize, 2, 4, 8];
     writeln!(
@@ -29,35 +29,36 @@ pub(super) fn run(setup: &Setup) -> Output {
         (PolicyKind::PageColoring, false, true),
         (PolicyKind::CdpcTouch, false, true),
     ];
-    let mut reports = sweep(setup, &[Preset::Alpha], &benches, &cpu_counts, &configs);
-
-    for bench in &benches {
-        writeln!(out, "== {} ==", bench.name);
-        table::header(
-            &mut out,
-            &[
-                "cpus", "BH-unal", "binhop", "pagecol", "CDPC", "CDPC/BH", "CDPC/PC",
-            ],
-            &[4, 9, 9, 9, 9, 8, 8],
-        );
-        for &cpus in &cpu_counts {
-            let bh_u = reports.next().expect("one BH-unaligned report per row");
-            let bh = reports.next().expect("one BH report per row");
-            let pc = reports.next().expect("one PC report per row");
-            let cdpc = reports.next().expect("one CDPC report per row");
-            writeln!(
-                out,
-                "{:>4} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}",
-                cpus,
-                table::cycles(bh_u.elapsed_cycles),
-                table::cycles(bh.elapsed_cycles),
-                table::cycles(pc.elapsed_cycles),
-                table::cycles(cdpc.elapsed_cycles),
-                table::ratio(cdpc.speedup_over(&bh)),
-                table::ratio(cdpc.speedup_over(&pc)),
+    let jobs = sweep(setup, &[Preset::Alpha], &benches, &cpu_counts, &configs);
+    Plan::new(jobs, move |reports| {
+        for bench in &benches {
+            writeln!(out, "== {} ==", bench.name);
+            table::header(
+                &mut out,
+                &[
+                    "cpus", "BH-unal", "binhop", "pagecol", "CDPC", "CDPC/BH", "CDPC/PC",
+                ],
+                &[4, 9, 9, 9, 9, 8, 8],
             );
+            for &cpus in &cpu_counts {
+                let bh_u = reports.next().expect("one BH-unaligned report per row");
+                let bh = reports.next().expect("one BH report per row");
+                let pc = reports.next().expect("one PC report per row");
+                let cdpc = reports.next().expect("one CDPC report per row");
+                writeln!(
+                    out,
+                    "{:>4} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}",
+                    cpus,
+                    table::cycles(bh_u.elapsed_cycles),
+                    table::cycles(bh.elapsed_cycles),
+                    table::cycles(pc.elapsed_cycles),
+                    table::cycles(cdpc.elapsed_cycles),
+                    table::ratio(cdpc.speedup_over(&bh)),
+                    table::ratio(cdpc.speedup_over(&pc)),
+                );
+            }
+            writeln!(out);
         }
-        writeln!(out);
-    }
-    Output::text(out)
+        Output::text(out)
+    })
 }

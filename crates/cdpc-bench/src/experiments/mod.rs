@@ -1,18 +1,21 @@
 //! The experiment registry: the one list of everything committed under
 //! `results/`.
 //!
-//! Each [`Experiment`] is a function from a [`Setup`] to the bytes of the
-//! file or files it owns there. The `reproduce` binary runs entries by
-//! name, printing each one's first file, or runs every entry at its
-//! committed [`scale`](Experiment::scale) to regenerate the whole
-//! directory, which CI then byte-diffs with `git diff --exit-code`.
+//! Each [`Experiment`] turns a [`Setup`] into a [`Plan`]: the jobs to
+//! simulate and a renderer from their reports to the bytes of the file or
+//! files it owns there. [`run_entries`] runs many plans as one pool, so a
+//! run that two figures share is simulated once. The `reproduce` binary
+//! runs entries by name, printing each one's first file, or runs every
+//! entry at its committed [`scale`](Experiment::scale) to regenerate the
+//! whole directory, which CI then byte-diffs with `git diff --exit-code`.
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 // The prelude every experiment module imports with `use super::*`.
 use crate::table::{self, Text};
 use crate::{Preset, Setup};
-use cdpc_machine::{PolicyKind, RunReport};
+use cdpc_machine::{PolicyKind, RunReport, SweepJob};
 use cdpc_workloads::Benchmark;
 
 mod ablation;
@@ -45,8 +48,32 @@ pub struct Experiment {
     pub files: &'static [&'static str],
     /// The `--scale` its committed files were generated at.
     pub scale: u64,
-    /// Runs the experiment.
-    pub run: fn(&Setup) -> Output,
+    /// Declares the experiment's jobs and how it renders their reports.
+    pub run: fn(&Setup) -> Plan<'_>,
+}
+
+type Reports = std::vec::IntoIter<RunReport>;
+
+/// What one experiment needs simulated, and how it renders the result.
+/// Entries with no jobs (table1, fig1, fig3–fig5, analyze, and attrib and
+/// predict, whose own runs are probe-observed) do their work up front.
+pub struct Plan<'a> {
+    /// The runs the renderer reads, in the order it reads them.
+    pub jobs: Vec<SweepJob>,
+    render: Box<dyn FnOnce(&mut Reports) -> Output + 'a>,
+}
+
+impl<'a> Plan<'a> {
+    fn new(jobs: Vec<SweepJob>, render: impl FnOnce(&mut Reports) -> Output + 'a) -> Self {
+        let render = Box::new(render);
+        Plan { jobs, render }
+    }
+}
+
+impl From<Output> for Plan<'_> {
+    fn from(out: Output) -> Self {
+        Plan::new(Vec::new(), |_| out)
+    }
 }
 
 /// What one experiment run produced.
@@ -111,16 +138,16 @@ fn benches(names: &[&str]) -> Vec<Benchmark> {
         .collect()
 }
 
-/// Runs each `(policy, prefetch, aligned)` config for every benchmark at
-/// every CPU count on every preset as one sweep, and returns the reports
-/// in that nesting order (presets outermost).
+/// The jobs that run each `(policy, prefetch, aligned)` config for every
+/// benchmark at every CPU count on every preset, in that nesting order
+/// (presets outermost).
 fn sweep(
     setup: &Setup,
     presets: &[Preset],
     benches: &[Benchmark],
     cpu_counts: &[usize],
     configs: &[(PolicyKind, bool, bool)],
-) -> std::vec::IntoIter<RunReport> {
+) -> Vec<SweepJob> {
     let mut jobs = Vec::new();
     for &preset in presets {
         for bench in benches {
@@ -131,7 +158,28 @@ fn sweep(
             }
         }
     }
-    setup.run_jobs(&jobs).into_iter()
+    jobs
+}
+
+/// Runs `entries` on `setup` with one [`Setup::run_jobs`] call over all
+/// their jobs, whose memo simulates each distinct run once, and renders
+/// each entry from its own slice of the reports. Prints the scale, job
+/// count and wall time on stderr.
+pub fn run_entries(setup: &Setup, entries: &[&Experiment]) -> Vec<Output> {
+    let start = Instant::now();
+    let plans: Vec<Plan> = entries.iter().map(|e| (e.run)(setup)).collect();
+    let jobs: Vec<SweepJob> = plans.iter().flat_map(|p| p.jobs.clone()).collect();
+    let mut reports = setup.run_jobs(&jobs).into_iter();
+    let secs = start.elapsed().as_secs_f64();
+    eprintln!("scale {}: {} jobs in {secs:.1} s", setup.scale, jobs.len());
+    let mut outputs = Vec::new();
+    for (plan, e) in plans.into_iter().zip(entries) {
+        let n = plan.jobs.len();
+        let mut own = reports.by_ref().take(n).collect::<Vec<_>>().into_iter();
+        outputs.push((plan.render)(&mut own));
+        assert_eq!(own.len(), 0, "{} left reports unread", e.name);
+    }
+    outputs
 }
 
 /// The registry entry called `name`.

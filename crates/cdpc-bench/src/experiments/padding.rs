@@ -16,7 +16,7 @@ use cdpc_compiler::layout::LayoutMode;
 use cdpc_compiler::{compile, CompileOptions};
 use cdpc_machine::{RunConfig, SweepJob};
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpus = 8;
     let bench = cdpc_workloads::by_name("tomcatv").expect("exists");
@@ -73,37 +73,37 @@ pub(super) fn run(setup: &Setup) -> Output {
         compile_with(None),
         RunConfig::new(mem.clone(), PolicyKind::Cdpc),
     ));
-    let mut reports = setup.run_jobs(&jobs).into_iter();
-
-    for policy in policies {
-        for (label, _) in variants {
-            let r = reports.next().expect("one report per padding variant");
-            writeln!(
-                out,
-                "{:<16} {:<14} {:>10} {:>14}",
-                label,
-                policy.label(),
-                table::cycles(r.elapsed_cycles),
-                table::cycles(r.stalls.conflict),
-            );
+    Plan::new(jobs, move |reports| {
+        for policy in policies {
+            for (label, _) in variants {
+                let r = reports.next().expect("one report per padding variant");
+                writeln!(
+                    out,
+                    "{:<16} {:<14} {:>10} {:>14}",
+                    label,
+                    policy.label(),
+                    table::cycles(r.elapsed_cycles),
+                    table::cycles(r.stalls.conflict),
+                );
+            }
+            writeln!(out);
         }
-        writeln!(out);
-    }
-    let r = reports.next().expect("one CDPC reference report");
-    writeln!(
-        out,
-        "{:<16} {:<14} {:>10} {:>14}",
-        "aligned",
-        "cdpc",
-        table::cycles(r.elapsed_cycles),
-        table::cycles(r.stalls.conflict),
-    );
-    writeln!(
-        out,
-        "\nExpected: pads smaller than a page shift colors under page coloring\n\
+        let r = reports.next().expect("one CDPC reference report");
+        writeln!(
+            out,
+            "{:<16} {:<14} {:>10} {:>14}",
+            "aligned",
+            "cdpc",
+            table::cycles(r.elapsed_cycles),
+            table::cycles(r.stalls.conflict),
+        );
+        writeln!(
+            out,
+            "\nExpected: pads smaller than a page shift colors under page coloring\n\
          (sub-page pads leave page colors unchanged, multi-page pads help);\n\
          under bin hopping *no* pad helps — colors follow fault order, not\n\
          addresses. CDPC beats every padding variant on both policies."
-    );
-    Output::text(out)
+        );
+        Output::text(out)
+    })
 }

@@ -51,7 +51,7 @@ fn ratio(r: f64) -> JsonValue {
     JsonValue::Float((r * 10_000.0).round() / 10_000.0)
 }
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut workloads = Vec::new();
     let mut sarif_reports = Vec::new();
     let mut gate_failures = Vec::new();
@@ -143,9 +143,9 @@ pub(super) fn run(setup: &Setup) -> Output {
     let refs: Vec<&cdpc_analyze::Report> = sarif_reports.iter().collect();
     let log = reports_to_sarif(&refs);
     check_sarif_shape(&log).expect("generated SARIF is well-formed");
-    Output {
+    Plan::from(Output {
         bytes: vec![doc.to_string_pretty(), log.to_string_pretty()],
         failure: (!gate_failures.is_empty())
             .then(|| format!("false negatives on gated workloads: {gate_failures:?}")),
-    }
+    })
 }

@@ -11,7 +11,7 @@
 use super::*;
 use cdpc_machine::{RunConfig, SweepJob};
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpus = 8;
     let bench = cdpc_workloads::by_name("tomcatv").expect("exists");
@@ -44,34 +44,34 @@ pub(super) fn run(setup: &Setup) -> Output {
             PolicyKind::PageColoring,
         ),
     ));
-    let mut reports = setup.run_jobs(&jobs).into_iter();
-
-    for &hog in &hogs {
-        let r = reports.next().expect("one report per hog fraction");
+    Plan::new(jobs, move |reports| {
+        for &hog in &hogs {
+            let r = reports.next().expect("one report per hog fraction");
+            writeln!(
+                out,
+                "{:>10} {:>10} {:>10} {:>14}",
+                table::pct(hog),
+                table::pct(r.fault_stats.honor_rate()),
+                table::cycles(r.elapsed_cycles),
+                table::cycles(r.stalls.conflict),
+            );
+        }
+        writeln!(out);
+        let pc = reports.next().expect("one page-coloring reference report");
         writeln!(
             out,
-            "{:>10} {:>10} {:>10} {:>14}",
-            table::pct(hog),
-            table::pct(r.fault_stats.honor_rate()),
-            table::cycles(r.elapsed_cycles),
-            table::cycles(r.stalls.conflict),
+            "{:>10} {:>10} {:>10} {:>14}   <- page coloring reference",
+            "-",
+            "-",
+            table::cycles(pc.elapsed_cycles),
+            table::cycles(pc.stalls.conflict),
         );
-    }
-    writeln!(out);
-    let pc = reports.next().expect("one page-coloring reference report");
-    writeln!(
-        out,
-        "{:>10} {:>10} {:>10} {:>14}   <- page coloring reference",
-        "-",
-        "-",
-        table::cycles(pc.elapsed_cycles),
-        table::cycles(pc.stalls.conflict),
-    );
-    writeln!(
-        out,
-        "\nHints degrade gracefully: the allocator falls back to the circularly\n\
+        writeln!(
+            out,
+            "\nHints degrade gracefully: the allocator falls back to the circularly\n\
          nearest free color, so even when most low-half colors are hogged,\n\
          CDPC stays ahead of the page-coloring baseline."
-    );
-    Output::text(out)
+        );
+        Output::text(out)
+    })
 }

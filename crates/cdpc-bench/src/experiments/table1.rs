@@ -6,7 +6,7 @@
 use super::*;
 use cdpc_workloads::spec::{Scale, MB};
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     writeln!(out, "Table 1. Reference Data Set Sizes of SPEC95fp");
     writeln!(
@@ -34,5 +34,5 @@ pub(super) fn run(setup: &Setup) -> Output {
             b.name, full, paper, scaled
         );
     }
-    Output::text(out)
+    Output::text(out).into()
 }

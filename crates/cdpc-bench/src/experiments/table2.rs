@@ -11,7 +11,7 @@
 use super::*;
 use cdpc_machine::geometric_mean;
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpus = 8;
     writeln!(
@@ -46,53 +46,53 @@ pub(super) fn run(setup: &Setup) -> Output {
             runs.map(|(n, policy)| setup.job(bench, Preset::Alpha, n, policy, false, true))
         })
         .collect();
-    let mut reports = setup.run_jobs(&jobs).into_iter();
-
-    let mut ratios = (Vec::new(), Vec::new(), Vec::new());
-    for bench in &benches {
-        let reference = reports
-            .next()
-            .expect("one reference report per benchmark")
-            .elapsed_cycles;
-        let bh = reports.next().expect("one BH report per benchmark");
-        let pc = reports.next().expect("one PC report per benchmark");
-        let cdpc = reports.next().expect("one CDPC report per benchmark");
-        let (rb, rp, rc) = (
-            bh.ratio(reference),
-            pc.ratio(reference),
-            cdpc.ratio(reference),
+    Plan::new(jobs, move |reports| {
+        let mut ratios = (Vec::new(), Vec::new(), Vec::new());
+        for bench in &benches {
+            let reference = reports
+                .next()
+                .expect("one reference report per benchmark")
+                .elapsed_cycles;
+            let bh = reports.next().expect("one BH report per benchmark");
+            let pc = reports.next().expect("one PC report per benchmark");
+            let cdpc = reports.next().expect("one CDPC report per benchmark");
+            let (rb, rp, rc) = (
+                bh.ratio(reference),
+                pc.ratio(reference),
+                cdpc.ratio(reference),
+            );
+            writeln!(
+                out,
+                "{:<14} {:>9} {:>9} {:>9} {:>7.2} {:>7.2} {:>7.2}",
+                bench.name,
+                table::cycles(bh.elapsed_cycles),
+                table::cycles(pc.elapsed_cycles),
+                table::cycles(cdpc.elapsed_cycles),
+                rb,
+                rp,
+                rc,
+            );
+            ratios.0.push(rb);
+            ratios.1.push(rp);
+            ratios.2.push(rc);
+        }
+        let (gb, gp, gc) = (
+            geometric_mean(&ratios.0),
+            geometric_mean(&ratios.1),
+            geometric_mean(&ratios.2),
         );
+        writeln!(out, "{}", "-".repeat(66));
         writeln!(
             out,
             "{:<14} {:>9} {:>9} {:>9} {:>7.2} {:>7.2} {:>7.2}",
-            bench.name,
-            table::cycles(bh.elapsed_cycles),
-            table::cycles(pc.elapsed_cycles),
-            table::cycles(cdpc.elapsed_cycles),
-            rb,
-            rp,
-            rc,
+            "geomean", "", "", "", gb, gp, gc
         );
-        ratios.0.push(rb);
-        ratios.1.push(rp);
-        ratios.2.push(rc);
-    }
-    let (gb, gp, gc) = (
-        geometric_mean(&ratios.0),
-        geometric_mean(&ratios.1),
-        geometric_mean(&ratios.2),
-    );
-    writeln!(out, "{}", "-".repeat(66));
-    writeln!(
-        out,
-        "{:<14} {:>9} {:>9} {:>9} {:>7.2} {:>7.2} {:>7.2}",
-        "geomean", "", "", "", gb, gp, gc
-    );
-    writeln!(
-        out,
-        "\nCDPC vs bin hopping: {:+.1}%   CDPC vs page coloring: {:+.1}%   (paper: +8% / +20%)",
-        (gc / gb - 1.0) * 100.0,
-        (gc / gp - 1.0) * 100.0
-    );
-    Output::text(out)
+        writeln!(
+            out,
+            "\nCDPC vs bin hopping: {:+.1}%   CDPC vs page coloring: {:+.1}%   (paper: +8% / +20%)",
+            (gc / gb - 1.0) * 100.0,
+            (gc / gp - 1.0) * 100.0
+        );
+        Output::text(out)
+    })
 }

@@ -11,7 +11,7 @@
 use super::*;
 use cdpc_machine::{RunConfig, SweepJob};
 
-pub(super) fn run(setup: &Setup) -> Output {
+pub(super) fn run(setup: &Setup) -> Plan<'_> {
     let mut out = Text::default();
     let cpus = 8;
     writeln!(
@@ -36,38 +36,38 @@ pub(super) fn run(setup: &Setup) -> Output {
             jobs.push(SweepJob::new(compiled.clone(), RunConfig::new(mem, policy)));
         }
     }
-    let mut reports = setup.run_jobs(&jobs).into_iter();
-
-    for bench in &benches {
-        writeln!(out, "== {} ==", bench.name);
-        table::header(
-            &mut out,
-            &["config", "time", "conflict-stall", "victim hits", "vs PC"],
-            &[16, 10, 14, 12, 8],
-        );
-        let mut pc_time = 0u64;
-        for &(label, _, _) in &variants {
-            let r = reports.next().expect("one report per variant");
-            if label == "PC" {
-                pc_time = r.elapsed_cycles;
-            }
-            writeln!(
-                out,
-                "{:<16} {:>10} {:>14} {:>12} {:>8}",
-                label,
-                table::cycles(r.elapsed_cycles),
-                table::cycles(r.stalls.conflict),
-                r.mem_stats.aggregate().victim_hits,
-                table::ratio(pc_time as f64 / r.elapsed_cycles.max(1) as f64),
+    Plan::new(jobs, move |reports| {
+        for bench in &benches {
+            writeln!(out, "== {} ==", bench.name);
+            table::header(
+                &mut out,
+                &["config", "time", "conflict-stall", "victim hits", "vs PC"],
+                &[16, 10, 14, 12, 8],
             );
+            let mut pc_time = 0u64;
+            for &(label, _, _) in &variants {
+                let r = reports.next().expect("one report per variant");
+                if label == "PC" {
+                    pc_time = r.elapsed_cycles;
+                }
+                writeln!(
+                    out,
+                    "{:<16} {:>10} {:>14} {:>12} {:>8}",
+                    label,
+                    table::cycles(r.elapsed_cycles),
+                    table::cycles(r.stalls.conflict),
+                    r.mem_stats.aggregate().victim_hits,
+                    table::ratio(pc_time as f64 / r.elapsed_cycles.max(1) as f64),
+                );
+            }
+            writeln!(out);
         }
-        writeln!(out);
-    }
-    writeln!(
-        out,
-        "Expected: victim caches trim the worst ping-pongs under page coloring\n\
+        writeln!(
+            out,
+            "Expected: victim caches trim the worst ping-pongs under page coloring\n\
          but fall far short of CDPC; adding one on top of CDPC changes little\n\
          (there is nothing left to absorb)."
-    );
-    Output::text(out)
+        );
+        Output::text(out)
+    })
 }

@@ -1,12 +1,14 @@
-//! The registry owns exactly the files committed in `results/`, and the
-//! cheap entries reproduce their committed bytes exactly. The sweeps
-//! (fig2, fig6–fig9, table2 and the extension experiments) take seconds
-//! each; CI byte-diffs them after running `reproduce`.
+//! The registry owns exactly the files committed in `results/`, the cheap
+//! entries reproduce their committed bytes exactly, and one pool runs the
+//! entries' shared points once while handing each entry its own reports.
+//! The sweeps (fig2, fig6–fig9, table2 and the extension experiments) take
+//! seconds each; CI byte-diffs them after running `reproduce`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
-use cdpc_bench::experiments::{find, results_dir, REGISTRY};
+use cdpc_bench::experiments::{find, results_dir, run_entries, REGISTRY};
 use cdpc_bench::Setup;
+use cdpc_machine::run_key;
 
 #[test]
 fn registry_owns_every_file_in_results() {
@@ -34,7 +36,7 @@ fn cheap_entries_match_their_committed_bytes() {
     ];
     for name in cheap {
         let e = find(name).expect("registered");
-        let out = (e.run)(&Setup::with_scale(e.scale));
+        let out = run_entries(&Setup::with_scale(e.scale), &[e]).remove(0);
         assert_eq!(out.failure, None, "{name}'s gate failed");
         assert_eq!(out.bytes.len(), e.files.len(), "{name}");
         for (file, bytes) in e.files.iter().zip(&out.bytes) {
@@ -49,5 +51,35 @@ fn cheap_entries_match_their_committed_bytes() {
                  rerun `reproduce` and review `git diff -- results/`"
             );
         }
+    }
+}
+
+/// The scale-8 entries overlap: all of fig2 is in fig6, all of table2 in
+/// fig9, half of fig8 in fig6, and the extension sweeps repeat fig6 points.
+/// Building their plans (which compiles but simulates nothing) shows how
+/// much `reproduce`'s one pool saves over running the entries one by one.
+#[test]
+fn committed_scale_8_pool_has_507_distinct_runs_in_691_jobs() {
+    let setup = Setup::with_scale(8);
+    let jobs: Vec<_> = REGISTRY
+        .iter()
+        .filter(|e| e.scale == 8)
+        .flat_map(|e| (e.run)(&setup).jobs)
+        .collect();
+    let keys: HashSet<_> = jobs.iter().map(|j| run_key(&j.compiled, &j.cfg)).collect();
+    assert_eq!(jobs.len(), 691);
+    assert_eq!(keys.len(), 507);
+}
+
+/// victim and dynamic share six runs (page coloring and CDPC on tomcatv,
+/// swim and hydro2d at 8 CPUs), which the pool simulates once. Each entry
+/// must still render from its own reports: the same bytes as alone.
+#[test]
+fn pooled_entries_render_what_they_render_alone() {
+    let entries = [find("victim").unwrap(), find("dynamic").unwrap()];
+    let pooled = run_entries(&Setup::with_scale(64), &entries);
+    for (e, out) in entries.iter().zip(&pooled) {
+        let alone = run_entries(&Setup::with_scale(64), &[e]).remove(0);
+        assert_eq!(out.bytes, alone.bytes, "{}", e.name);
     }
 }

@@ -5,7 +5,7 @@
 //! and bus utilization — plus the raw memory statistics for deeper
 //! analysis.
 
-use cdpc_memsim::{MemStats, MissClass};
+use cdpc_memsim::{CpuStats, MemStats, MissClass};
 use cdpc_vm::FaultStats;
 
 /// Parallelization overheads (Figure 2, second graph), in CPU cycles
@@ -75,7 +75,13 @@ impl StallBreakdown {
 
     /// Builds the breakdown from raw memory statistics.
     pub fn from_mem_stats(stats: &MemStats) -> Self {
-        let agg = stats.aggregate();
+        Self::from_cpu_stats(&stats.aggregate())
+    }
+
+    /// Builds the breakdown from one CPU's (or the aggregate's) counters:
+    /// the one mapping from memory-system counters to stall classes, shared
+    /// by the report and the interval sampler.
+    pub fn from_cpu_stats(agg: &CpuStats) -> Self {
         StallBreakdown {
             l2_hit: agg.l2_hit_stall_cycles,
             conflict: agg.miss_stall_cycles.get(MissClass::Conflict),

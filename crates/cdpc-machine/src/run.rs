@@ -506,36 +506,23 @@ impl<Q: Probe> Sim<Q> {
         let s = self.sampler.as_mut().expect("checked above");
         let (bus_d, bus_w, bus_u) = stats.bus_occupancy;
         let prev = &s.prev;
-        // Field mapping mirrors `StallBreakdown::from_mem_stats` exactly —
-        // that is what makes the series totals reproduce the report.
+        // The report's own stall mapping, so the series totals reproduce it.
+        let now = StallBreakdown::from_cpu_stats(&agg);
+        let was = StallBreakdown::from_cpu_stats(prev);
         let delta = Sample {
             end_cycle: s.wall,
             instructions: instr - s.prev_instr,
             refs: (agg.data_refs + agg.ifetch_refs) - (prev.data_refs + prev.ifetch_refs),
             misses: agg.misses.total() - prev.misses.total(),
             tlb_misses: agg.tlb_misses - prev.tlb_misses,
-            l2_hit_stall: agg.l2_hit_stall_cycles - prev.l2_hit_stall_cycles,
-            conflict_stall: agg.miss_stall_cycles.get(cdpc_memsim::MissClass::Conflict)
-                - prev.miss_stall_cycles.get(cdpc_memsim::MissClass::Conflict),
-            capacity_stall: agg.miss_stall_cycles.get(cdpc_memsim::MissClass::Capacity)
-                - prev.miss_stall_cycles.get(cdpc_memsim::MissClass::Capacity),
-            true_sharing_stall: agg
-                .miss_stall_cycles
-                .get(cdpc_memsim::MissClass::TrueSharing)
-                - prev
-                    .miss_stall_cycles
-                    .get(cdpc_memsim::MissClass::TrueSharing),
-            false_sharing_stall: agg
-                .miss_stall_cycles
-                .get(cdpc_memsim::MissClass::FalseSharing)
-                - prev
-                    .miss_stall_cycles
-                    .get(cdpc_memsim::MissClass::FalseSharing),
-            cold_stall: agg.miss_stall_cycles.get(cdpc_memsim::MissClass::Cold)
-                - prev.miss_stall_cycles.get(cdpc_memsim::MissClass::Cold),
-            prefetch_stall: (agg.prefetch_wait_cycles + agg.prefetch_slot_stall_cycles)
-                - (prev.prefetch_wait_cycles + prev.prefetch_slot_stall_cycles),
-            upgrade_stall: agg.upgrade_stall_cycles - prev.upgrade_stall_cycles,
+            l2_hit_stall: now.l2_hit - was.l2_hit,
+            conflict_stall: now.conflict - was.conflict,
+            capacity_stall: now.capacity - was.capacity,
+            true_sharing_stall: now.true_sharing - was.true_sharing,
+            false_sharing_stall: now.false_sharing - was.false_sharing,
+            cold_stall: now.cold - was.cold,
+            prefetch_stall: now.prefetch - was.prefetch,
+            upgrade_stall: now.upgrade - was.upgrade,
             bus_data: bus_d - s.prev_bus.0,
             bus_writeback: bus_w - s.prev_bus.1,
             bus_upgrade: bus_u - s.prev_bus.2,
@@ -635,10 +622,9 @@ fn scaled_cpu_stats(stats: &CpuStats, k: u64) -> CpuStats {
     out
 }
 
-/// The virtual pages of the program's code segment.
-fn code_pages(compiled: &CompiledProgram, page_size: usize) -> Vec<Vpn> {
-    let geometry = PageGeometry::new(page_size);
-    let max_code = compiled
+/// The largest code segment of any statement, in bytes.
+fn max_code_bytes(compiled: &CompiledProgram) -> u64 {
+    compiled
         .phases
         .iter()
         .flat_map(|ph| ph.stmts.iter())
@@ -647,7 +633,13 @@ fn code_pages(compiled: &CompiledProgram, page_size: usize) -> Vec<Vpn> {
             CompiledStmt::Master { spec, .. } => spec.code_bytes,
         })
         .max()
-        .unwrap_or(0);
+        .unwrap_or(0)
+}
+
+/// The virtual pages of the program's code segment.
+fn code_pages(compiled: &CompiledProgram, page_size: usize) -> Vec<Vpn> {
+    let geometry = PageGeometry::new(page_size);
+    let max_code = max_code_bytes(compiled);
     let first = geometry.vpn_of(compiled.layout.code_base).0;
     let last = geometry
         .vpn_of(VirtAddr(compiled.layout.code_base.0 + max_code.max(1) - 1))
@@ -754,17 +746,7 @@ pub fn run_observed<P: Probe>(
     // Physical memory sized to the touched VA span plus slack, rounded to a
     // whole number of color groups so every color has equal pages.
     let colors = cfg.color_space();
-    let max_code = compiled
-        .phases
-        .iter()
-        .flat_map(|ph| ph.stmts.iter())
-        .map(|s| match s {
-            CompiledStmt::Parallel { specs } => specs.first().map(|x| x.code_bytes).unwrap_or(0),
-            CompiledStmt::Master { spec, .. } => spec.code_bytes,
-        })
-        .max()
-        .unwrap_or(0);
-    let va_end = compiled.layout.code_base.0 + max_code + cfg.mem.page_size as u64;
+    let va_end = compiled.layout.code_base.0 + max_code_bytes(compiled) + cfg.mem.page_size as u64;
     let span_pages = geometry.pages_for(va_end) as f64;
     let n = colors.num_colors() as usize;
     let phys_pages = (((span_pages * cfg.phys_slack) as usize).div_ceil(n)).max(2) * n;
