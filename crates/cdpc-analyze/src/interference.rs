@@ -112,7 +112,7 @@ impl ColoringModel {
             .collect();
         if !hints.is_empty() {
             let mut color = Color(hints.len() as u32 % colors.num_colors());
-            for vpn in code_vpns(compiled, machine.page_bytes) {
+            for vpn in compiled.code_vpns(machine.page_bytes) {
                 if let std::collections::btree_map::Entry::Vacant(e) = map.entry(vpn) {
                     e.insert(u64::from(color.0));
                     color = colors.advance(color, 1);
@@ -178,8 +178,31 @@ impl ColorLoad {
     }
 }
 
-/// Per-CPU page-use maps for a compiled program (whole program or one
-/// phase), ready to be pushed through a [`ColoringModel`].
+/// The statements an [`InterferenceMap`] collects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Every statement: the sound domain for conflict prediction, since
+    /// cached pages survive phase boundaries (and the warm-up pass touches
+    /// everything before measurement begins).
+    Program,
+    /// The statements of phase `i`, for sharper per-phase proofs.
+    Phase(usize),
+    /// Statement `j` of phase `i` alone.
+    Stmt(usize, usize),
+}
+
+impl Scope {
+    fn covers(self, phase: usize, stmt: usize) -> bool {
+        match self {
+            Scope::Program => true,
+            Scope::Phase(i) => i == phase,
+            Scope::Stmt(i, j) => (i, j) == (phase, stmt),
+        }
+    }
+}
+
+/// Per-CPU page-use maps for the statements of one [`Scope`], ready to be
+/// pushed through a [`ColoringModel`].
 #[derive(Debug, Clone)]
 pub struct InterferenceMap {
     /// Processor count.
@@ -189,13 +212,9 @@ pub struct InterferenceMap {
 }
 
 impl InterferenceMap {
-    /// Collects every page each processor touches. `phase: None` takes
-    /// the union over all phases — the sound domain for conflict
-    /// prediction, since cached pages survive phase boundaries (and the
-    /// warm-up pass touches everything before measurement begins).
-    /// `phase: Some(i)` restricts to one phase for sharper per-phase
-    /// proofs.
-    pub fn build(compiled: &CompiledProgram, machine: &MachineModel, phase: Option<usize>) -> Self {
+    /// Collects every page each processor touches in the statements of
+    /// `scope`.
+    pub fn build(compiled: &CompiledProgram, machine: &MachineModel, scope: Scope) -> Self {
         let geometry = PageGeometry::new(machine.page_bytes as usize);
         let mut pages: Vec<BTreeMap<u64, PageUse>> = vec![BTreeMap::new(); machine.num_cpus];
         let mut add = |cpu: usize, region: RegionId, lo: u64, hi: u64, exact: bool| {
@@ -232,10 +251,10 @@ impl InterferenceMap {
             }
         };
         for (i, ph) in compiled.phases.iter().enumerate() {
-            if phase.is_some_and(|only| only != i) {
-                continue;
-            }
-            for stmt in &ph.stmts {
+            for (j, stmt) in ph.stmts.iter().enumerate() {
+                if !scope.covers(i, j) {
+                    continue;
+                }
                 match stmt {
                     CompiledStmt::Parallel { specs } => {
                         for (cpu, spec) in specs.iter().enumerate() {
@@ -299,29 +318,6 @@ fn region_of(compiled: &CompiledProgram, base: u64) -> RegionId {
         .map_or(RegionId::Code, RegionId::Array)
 }
 
-/// The code-segment pages, mirroring `cdpc-machine`'s `code_pages`: the
-/// largest body across all statements, from the layout's code base.
-fn code_vpns(compiled: &CompiledProgram, page_bytes: u64) -> Vec<u64> {
-    let geometry = PageGeometry::new(page_bytes as usize);
-    let max_code = compiled
-        .phases
-        .iter()
-        .flat_map(|ph| ph.stmts.iter())
-        .map(|s| match s {
-            CompiledStmt::Parallel { specs } => specs.first().map(|x| x.code_bytes).unwrap_or(0),
-            CompiledStmt::Master { spec, .. } => spec.code_bytes,
-        })
-        .max()
-        .unwrap_or(0);
-    let first = geometry.vpn_of(compiled.layout.code_base).0;
-    let last = geometry
-        .vpn_of(cdpc_vm::addr::VirtAddr(
-            compiled.layout.code_base.0 + max_code.max(1) - 1,
-        ))
-        .0;
-    (first..=last).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +361,7 @@ mod tests {
     fn pages_match_per_cpu_footprints() {
         let m = machine();
         let compiled = partitioned_program(1, 16 << 10); // 4 pages
-        let map = InterferenceMap::build(&compiled, &m, None);
+        let map = InterferenceMap::build(&compiled, &m, Scope::Program);
         // Each CPU owns half the array (2 pages) plus one code page.
         for cpu in 0..2 {
             let data = map.pages[cpu]
@@ -384,7 +380,7 @@ mod tests {
     fn color_loads_prove_a_small_program_clean() {
         let m = machine();
         let compiled = partitioned_program(1, 16 << 10);
-        let map = InterferenceMap::build(&compiled, &m, None);
+        let map = InterferenceMap::build(&compiled, &m, Scope::Program);
         let coloring = ColoringModel::page_coloring(&m);
         assert!(
             map.overloads(&coloring, m.l2_assoc).is_empty(),
@@ -399,7 +395,7 @@ mod tests {
         // pages + code over 8 colors — some color must exceed 1 way; and
         // with the aligned layout the bases all collide mod cache size.
         let compiled = partitioned_program(5, 32 << 10);
-        let map = InterferenceMap::build(&compiled, &m, None);
+        let map = InterferenceMap::build(&compiled, &m, Scope::Program);
         let coloring = ColoringModel::page_coloring(&m);
         let overloads = map.overloads(&coloring, m.l2_assoc);
         assert!(!overloads.is_empty(), "20 pages over 8 colors must collide");
@@ -427,12 +423,89 @@ mod tests {
         }
         let compiled = compile(&p, &CompileOptions::new(2)).expect("compiles");
         let m = machine();
-        let whole = InterferenceMap::build(&compiled, &m, None);
-        let first = InterferenceMap::build(&compiled, &m, Some(0));
+        let whole = InterferenceMap::build(&compiled, &m, Scope::Program);
+        let first = InterferenceMap::build(&compiled, &m, Scope::Phase(0));
         assert!(first.pages_of(0) < whole.pages_of(0));
         assert!(first.pages[0]
             .values()
             .all(|u| !u.regions.contains(&RegionId::Array(1))));
+    }
+
+    #[test]
+    fn stmt_maps_union_to_their_phase_map() {
+        let mut rng = cdpc_obs::SplitMix64::new(0x5EED_5C0E);
+        for round in 0..40 {
+            let mut p = Program::new("seeded");
+            // (array, unit): every array is exactly eight units long.
+            let arrays: Vec<_> = (0..1 + rng.below(3))
+                .map(|i| {
+                    let unit = 512 * (1 + rng.below(8));
+                    (p.array(format!("A{i}"), 8 * unit), unit)
+                })
+                .collect();
+            for ph in 0..1 + rng.below(3) {
+                let stmts = (0..1 + rng.below(3))
+                    .map(|si| {
+                        let mut nest = LoopNest::new(format!("l{ph}.{si}"), 8, 500);
+                        for _ in 0..1 + rng.below(2) {
+                            let (a, unit) = arrays[rng.below(arrays.len() as u64) as usize];
+                            let pattern = match rng.below(4) {
+                                0 => AccessPattern::Partitioned { unit_bytes: unit },
+                                1 => AccessPattern::Stencil {
+                                    unit_bytes: unit,
+                                    halo_units: 1,
+                                    wraparound: rng.below(2) == 0,
+                                },
+                                2 => AccessPattern::WholeArray,
+                                _ => AccessPattern::Irregular {
+                                    touches_per_iter: 2,
+                                },
+                            };
+                            nest = nest.with_access(if rng.below(2) == 0 {
+                                Access::read(a, pattern)
+                            } else {
+                                Access::write(a, pattern)
+                            });
+                        }
+                        let kind = [
+                            StmtKind::Parallel,
+                            StmtKind::Sequential,
+                            StmtKind::FineGrain,
+                        ][rng.below(3) as usize];
+                        Stmt { kind, nest }
+                    })
+                    .collect();
+                p.phase(Phase {
+                    name: format!("p{ph}"),
+                    stmts,
+                    count: 1,
+                });
+            }
+            let cpus = [2, 4][rng.below(2) as usize];
+            let m = MachineModel {
+                num_cpus: cpus,
+                ..machine()
+            };
+            let compiled = compile(&p, &CompileOptions::new(cpus)).expect("compiles");
+            for (i, ph) in compiled.phases.iter().enumerate() {
+                let mut union: Vec<BTreeMap<u64, PageUse>> = vec![BTreeMap::new(); cpus];
+                for j in 0..ph.stmts.len() {
+                    let stmt = InterferenceMap::build(&compiled, &m, Scope::Stmt(i, j));
+                    for (cpu, pages) in stmt.pages.into_iter().enumerate() {
+                        for (vpn, page) in pages {
+                            let u = union[cpu].entry(vpn).or_insert(PageUse {
+                                regions: BTreeSet::new(),
+                                exact: true,
+                            });
+                            u.regions.extend(page.regions);
+                            u.exact &= page.exact;
+                        }
+                    }
+                }
+                let phase = InterferenceMap::build(&compiled, &m, Scope::Phase(i));
+                assert_eq!(union, phase.pages, "round {round}, phase {i}");
+            }
+        }
     }
 
     #[test]
@@ -452,7 +525,7 @@ mod tests {
         assert_eq!(model.color_of(u64::MAX - 7), (u64::MAX - 7) % 8);
         // The CDPC plan spreads each CPU's pages strictly better than (or
         // equal to) modulo coloring on this colliding program.
-        let imap = InterferenceMap::build(&compiled, &m, None);
+        let imap = InterferenceMap::build(&compiled, &m, Scope::Program);
         let worst = |c: &ColoringModel| {
             imap.color_loads(c)
                 .iter()

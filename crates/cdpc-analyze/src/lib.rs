@@ -6,12 +6,12 @@
 //! placement decides cache conflicts. This crate *checks* those claims,
 //! from two sides:
 //!
-//! * **Static lints** ([`analyze_program`]) over the IR, the parallel
-//!   plan, the layout, and the access summary: a race detector
-//!   ([`races`]), a false-sharing lint ([`sharing`]), a cache-color
-//!   conflict predictor ([`conflict`]), and structural audits
-//!   ([`structure`]). Findings are [`Diagnostic`]s collected in a
-//!   [`Report`], rendered as text or JSON.
+//! * **Static lints** ([`analyze_program`]) over the IR and the program
+//!   as [`compile`](cdpc_compiler::compile) lowers it: a race detector
+//!   ([`races`]), a false-sharing lint ([`sharing`]), the per-statement
+//!   color-pressure rule of the conflict prover ([`predict`]), and
+//!   structural audits ([`structure`]). Findings are [`Diagnostic`]s
+//!   collected in a [`Report`], rendered as text or JSON.
 //! * **A runtime sanitizer** ([`SanitizerProbe`]): a
 //!   [`Probe`](cdpc_obs::Probe) shadowing the simulator's MESI protocol
 //!   online and failing fast on invariant violations.
@@ -21,9 +21,7 @@
 //! [`allow_lint`](cdpc_compiler::ir::Program::allow_lint) annotations;
 //! allowed Errors are reported but do not fail runs.
 
-pub mod conflict;
 pub mod diag;
-pub mod footprint;
 pub mod interference;
 pub mod machine;
 pub mod predict;
@@ -34,52 +32,75 @@ pub mod sharing;
 pub mod structure;
 
 pub use diag::{Diagnostic, FixIt, Location, Report, Severity};
-pub use interference::{ColoringModel, InterferenceMap, RegionId};
+pub use interference::{ColoringModel, InterferenceMap, RegionId, Scope};
 pub use machine::MachineModel;
 pub use predict::{predict_program, ConflictPrediction, ProverPolicy};
 pub use sanitize::SanitizerProbe;
 pub use sarif::reports_to_sarif;
 
-use cdpc_compiler::ir::Program;
-use cdpc_compiler::layout::DataLayout;
-use cdpc_compiler::parallelize::ParallelPlan;
-use cdpc_compiler::CompileOptions;
-use cdpc_core::summary::AccessSummary;
+use cdpc_compiler::ir::{LoopNest, Phase, Program};
+use cdpc_compiler::trace::OpSpec;
+use cdpc_compiler::{CompileOptions, CompiledProgram, CompiledStmt};
 
 /// Runs every static lint over `program` as `opts` would compile it for
 /// the `machine` geometry.
 ///
-/// Structural IR errors that would make the later passes panic (unknown
-/// arrays, zero-trip loops) end the analysis early; everything else runs
-/// the full pipeline: parallelize → layout → summarize → [`analyze_parts`].
+/// Structural IR errors that would make compilation fail (unknown arrays,
+/// zero-byte units, accesses past the end of their array, zero-trip
+/// loops) end the analysis early.
 pub fn analyze_program(program: &Program, opts: &CompileOptions, machine: &MachineModel) -> Report {
     let mut report = Report::new(&program.name, opts.num_cpus, &program.lint_allows);
     if structure::check_program(program, &mut report) {
         return report;
     }
-    let plan = cdpc_compiler::parallelize::parallelize(program, &opts.parallelize_options());
-    let layout = cdpc_compiler::layout::layout(program, &opts.layout_options());
-    let summary = cdpc_compiler::summarize::summarize(program, &plan, &layout);
-    analyze_parts(program, &plan, &layout, &summary, machine, &mut report);
+    let compiled = cdpc_compiler::compile(program, opts)
+        .expect("check_program rejects every program compile rejects");
+    analyze_parts(program, &compiled, machine, &mut report);
     report.sort_stable();
     report
 }
 
-/// The lint pipeline over already-derived artifacts — what
-/// [`analyze_program`] runs after its own derivation, public so tests
-/// (and tools holding a `CompiledProgram`) can lint mutated parts.
+/// The lints over a program and its compiled form: what
+/// [`analyze_program`] runs after compiling, public so tests (and tools
+/// holding a [`CompiledProgram`]) can lint mutated parts.
 pub fn analyze_parts(
     program: &Program,
-    plan: &ParallelPlan,
-    layout: &DataLayout,
-    summary: &AccessSummary,
+    compiled: &CompiledProgram,
     machine: &MachineModel,
     report: &mut Report,
 ) {
-    structure::check_summary(summary, plan.num_cpus(), report);
-    races::check(program, plan, report);
-    sharing::check(program, plan, layout, machine, report);
-    conflict::check(program, plan, layout, machine, report);
+    structure::check_summary(&compiled.summary, compiled.num_cpus, report);
+    races::check(program, compiled, report);
+    sharing::check(program, compiled, machine, report);
+    predict::check_color_pressure(program, compiled, machine, report);
+}
+
+/// Every distributed statement of `compiled` as `((phase, stmt), source
+/// phase, source loop nest, one lowered stream per CPU)`. The source
+/// carries the names and array ids; the streams carry each CPU's
+/// iteration range and the laid-out accesses.
+fn parallel_stmts<'a>(
+    program: &'a Program,
+    compiled: &'a CompiledProgram,
+) -> impl Iterator<Item = ((usize, usize), &'a Phase, &'a LoopNest, &'a [OpSpec])> {
+    program
+        .phases
+        .iter()
+        .zip(&compiled.phases)
+        .enumerate()
+        .flat_map(|(pi, (phase, lowered))| {
+            phase
+                .stmts
+                .iter()
+                .zip(&lowered.stmts)
+                .enumerate()
+                .filter_map(move |(si, (stmt, lowered))| match lowered {
+                    CompiledStmt::Parallel { specs } => {
+                        Some(((pi, si), phase, &stmt.nest, specs.as_slice()))
+                    }
+                    CompiledStmt::Master { .. } => None,
+                })
+        })
 }
 
 #[cfg(test)]
@@ -152,11 +173,9 @@ mod tests {
         for round in 0..25 {
             let program = random_valid_program(&mut rng);
             let cpus = 4;
-            let opts = CompileOptions::new(cpus);
-            let plan =
-                cdpc_compiler::parallelize::parallelize(&program, &opts.parallelize_options());
-            let layout = cdpc_compiler::layout::layout(&program, &opts.layout_options());
-            let mut summary = cdpc_compiler::summarize::summarize(&program, &plan, &layout);
+            let mut compiled =
+                cdpc_compiler::compile(&program, &CompileOptions::new(cpus)).expect("compiles");
+            let summary = &mut compiled.summary;
             let machine = MachineModel::paper_base(cpus);
 
             let expected = if round % 2 == 0 && !summary.partitionings.is_empty() {
@@ -180,7 +199,7 @@ mod tests {
             };
 
             let mut report = Report::new(&program.name, cpus, &[]);
-            analyze_parts(&program, &plan, &layout, &summary, &machine, &mut report);
+            analyze_parts(&program, &compiled, &machine, &mut report);
             assert!(
                 report.with_rule(expected).next().is_some(),
                 "round {round}: expected {expected}, got:\n{}",
@@ -203,8 +222,8 @@ mod tests {
 
 #[cfg(test)]
 mod crosscheck {
-    //! The conflict predictor against the simulator: statements the lint
-    //! flags must correspond to simulated external-cache conflict misses.
+    //! The color-pressure lint against the simulator: statements it flags
+    //! must correspond to simulated external-cache conflict misses.
 
     use super::*;
     use cdpc_machine::{run, PolicyKind, RunConfig};
@@ -228,7 +247,7 @@ mod crosscheck {
 
         let report = analyze_program(&program, &opts, &MachineModel::from_mem(&mem));
         let predicted = report
-            .with_rule(conflict::RULE_COLOR_PRESSURE)
+            .with_rule(predict::RULE_COLOR_PRESSURE)
             .next()
             .is_some();
 

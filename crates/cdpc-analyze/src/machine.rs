@@ -123,6 +123,33 @@ mod tests {
     }
 
     #[test]
+    fn interval_straddling_the_last_color_wraps_to_color_zero() {
+        // 8-color machine: consecutive pages cycle colors 0..7, so an
+        // interval spanning pages 7..=8 crosses from the LAST color back
+        // to color 0 — its L2 set ranges are the two ends of the cache.
+        let m = MachineModel {
+            num_cpus: 2,
+            page_bytes: 4096,
+            l2_bytes: 32 << 10,
+            l2_line_bytes: 128,
+            l2_assoc: 1,
+        };
+        assert_eq!(m.num_colors(), 8);
+        let (lo, hi) = (7 * 4096 - 100, 8 * 4096 + 100);
+        let colors: Vec<u64> = (lo / 4096..=(hi - 1) / 4096)
+            .map(|vpn| vpn % m.num_colors())
+            .collect();
+        assert_eq!(colors, vec![6, 7, 0]);
+        // The straddled colors' set ranges are disjoint: the wrap is a
+        // page-number artifact, not a cache-set overlap.
+        let last = m.color_set_range(7);
+        let first = m.color_set_range(0);
+        assert_eq!(last.1, m.l2_sets());
+        assert_eq!(first.0, 0);
+        assert!(first.1 <= last.0);
+    }
+
+    #[test]
     fn from_mem_mirrors_config() {
         let cfg = MemConfig::paper_base(4);
         let m = MachineModel::from_mem(&cfg);

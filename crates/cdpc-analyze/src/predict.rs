@@ -21,14 +21,19 @@
 //! and for ranking. Irregular accesses degrade to a bounded
 //! over-approximation and lower the `confidence` field instead of going
 //! silent.
+//!
+//! The same equations, restricted to one distributed statement, are the
+//! `conflict/color-pressure` lint that
+//! [`analyze_program`](crate::analyze_program) runs.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 use cdpc_compiler::ir::Program;
 use cdpc_compiler::{compile, CompileOptions, CompiledProgram};
 
 use crate::diag::{Diagnostic, FixIt, Location, Report, Severity};
-use crate::interference::{ColorLoad, ColoringModel, InterferenceMap, RegionId};
+use crate::interference::{ColorLoad, ColoringModel, InterferenceMap, RegionId, Scope};
 use crate::machine::MachineModel;
 
 /// Rule id: a predicted conflict on one (color, region-set) equation.
@@ -37,6 +42,9 @@ pub const RULE_CONFLICT_CELL: &str = "predict/conflict-cell";
 pub const RULE_CONFLICT_FREE: &str = "predict/conflict-free";
 /// Rule id: per-statement footprints fit but the phase union does not.
 pub const RULE_PHASE_PRESSURE: &str = "predict/phase-pressure";
+/// Rule id: one statement's cache-fitting data pages load a color beyond
+/// the ways under native page coloring.
+pub const RULE_COLOR_PRESSURE: &str = "conflict/color-pressure";
 
 /// Confidence (percent) of an equation whose pages all come from exact
 /// affine footprints.
@@ -122,7 +130,7 @@ pub fn predict_program(
     let num_arrays = compiled.arrays.len();
 
     // Whole-program equations: the sound predicted-cell set.
-    let whole = InterferenceMap::build(&compiled, machine, None);
+    let whole = InterferenceMap::build(&compiled, machine, Scope::Program);
     let whole_overloads = whole.overloads(&coloring, assoc);
     let mut cells = BTreeSet::new();
     let mut confidence = CONF_EXACT;
@@ -138,7 +146,7 @@ pub fn predict_program(
     // Per-phase equations: sharper proofs and the ranking signal.
     let mut phases = Vec::new();
     for (i, ph) in compiled.phases.iter().enumerate() {
-        let map = InterferenceMap::build(&compiled, machine, Some(i));
+        let map = InterferenceMap::build(&compiled, machine, Scope::Phase(i));
         let overloads = map.overloads(&coloring, assoc);
         phases.push(PhaseVerdict {
             phase: ph.name.clone(),
@@ -150,6 +158,7 @@ pub fn predict_program(
     let mut report = Report::new(&program.name, machine.num_cpus, &program.lint_allows);
     let est_misses = push_diagnostics(
         program,
+        opts,
         &compiled,
         machine,
         policy,
@@ -173,8 +182,10 @@ pub fn predict_program(
 
 /// Emits ranked diagnostics (worst first) and returns the summed miss
 /// estimate.
+#[allow(clippy::too_many_arguments)]
 fn push_diagnostics(
     program: &Program,
+    opts: &CompileOptions,
     compiled: &CompiledProgram,
     machine: &MachineModel,
     policy: ProverPolicy,
@@ -252,6 +263,7 @@ fn push_diagnostics(
         .with_confidence(confidence);
         for fixit in find_fixits(
             program,
+            opts,
             compiled,
             machine,
             policy,
@@ -265,7 +277,7 @@ fn push_diagnostics(
 
     // Proof diagnostics for clean phases; phase-pressure advisory when a
     // phase overloads but each statement alone would fit.
-    for verdict in phases {
+    for (i, verdict) in phases.iter().enumerate() {
         if verdict.proven_free {
             report.push(
                 Diagnostic::new(
@@ -284,7 +296,11 @@ fn push_diagnostics(
                 )
                 .with_confidence(CONF_EXACT),
             );
-        } else if phase_fits_per_stmt(compiled, machine, coloring, &verdict.phase) {
+        } else if (0..compiled.phases[i].stmts.len()).all(|j| {
+            InterferenceMap::build(compiled, machine, Scope::Stmt(i, j))
+                .overloads(coloring, machine.l2_assoc)
+                .is_empty()
+        }) {
             report.push(
                 Diagnostic::new(
                     RULE_PHASE_PRESSURE,
@@ -312,6 +328,7 @@ fn push_diagnostics(
 /// lives in the `predict` bench tests).
 fn find_fixits(
     program: &Program,
+    opts: &CompileOptions,
     compiled: &CompiledProgram,
     machine: &MachineModel,
     policy: ProverPolicy,
@@ -319,7 +336,6 @@ fn find_fixits(
     searched_pad: &mut bool,
 ) -> Vec<FixIt> {
     let mut fixits = Vec::new();
-    let opts = prover_opts(machine);
     let primary = load
         .regions
         .iter()
@@ -332,7 +348,7 @@ fn find_fixits(
     // Recolor: does the CDPC plan prove the whole program clean?
     if policy == ProverPolicy::PageColoring {
         let cdpc = ColoringModel::cdpc(compiled, machine);
-        let map = InterferenceMap::build(compiled, machine, None);
+        let map = InterferenceMap::build(compiled, machine, Scope::Program);
         if map.overloads(&cdpc, machine.l2_assoc).is_empty() {
             if let Some(name) = &primary {
                 fixits.push(FixIt::RecolorRegion {
@@ -354,11 +370,11 @@ fn find_fixits(
             for pad in 1..=machine.num_colors().min(16) {
                 let mut padded = program.clone();
                 padded.arrays[*idx].bytes += pad * machine.page_bytes;
-                let Ok(recompiled) = compile(&padded, &opts) else {
+                let Ok(recompiled) = compile(&padded, opts) else {
                     continue;
                 };
                 let coloring = policy.model(&recompiled, machine);
-                let map = InterferenceMap::build(&recompiled, machine, None);
+                let map = InterferenceMap::build(&recompiled, machine, Scope::Program);
                 if map.overloads(&coloring, machine.l2_assoc).is_empty() {
                     fixits.push(FixIt::PadArray {
                         array: compiled.arrays[*idx].name.clone(),
@@ -372,68 +388,59 @@ fn find_fixits(
     fixits
 }
 
-/// The compile options the prover uses for transformed inputs, rebuilt
-/// from the machine model (mirrors the bench's `with_l2_cache`).
-fn prover_opts(machine: &MachineModel) -> CompileOptions {
-    CompileOptions::new(machine.num_cpus).with_l2_cache(machine.l2_bytes)
-}
-
-/// `true` when every statement of `phase`, taken alone, fits the cache
-/// under `coloring` — the signal for the split-phase advisory.
-fn phase_fits_per_stmt(
+/// The `conflict/color-pressure` lint: per distributed statement, the
+/// worst interference equation under native page coloring, counting only
+/// CPUs whose data pages fit the cache. A footprint larger than the cache
+/// misses for capacity however its pages are colored, and code pages are
+/// left out because the advice, staggering array bases, cannot move them.
+pub(crate) fn check_color_pressure(
+    program: &Program,
     compiled: &CompiledProgram,
     machine: &MachineModel,
-    coloring: &ColoringModel,
-    phase: &str,
-) -> bool {
-    use cdpc_compiler::CompiledStmt;
-    use cdpc_vm::addr::{PageGeometry, VirtAddr};
-    let Some(ph) = compiled.phases.iter().find(|p| p.name == phase) else {
-        return false;
-    };
-    let geometry = PageGeometry::new(machine.page_bytes as usize);
-    for stmt in &ph.stmts {
-        let specs: Vec<&cdpc_compiler::trace::OpSpec> = match stmt {
-            CompiledStmt::Parallel { specs } => specs.iter().collect(),
-            CompiledStmt::Master { spec, .. } => vec![spec],
-        };
-        for spec in specs {
-            let mut per_color: std::collections::BTreeMap<u64, BTreeSet<u64>> =
-                std::collections::BTreeMap::new();
-            let mut touch = |lo: u64, hi: u64| {
-                if lo >= hi {
-                    return;
-                }
-                let first = geometry.vpn_of(VirtAddr(lo)).0;
-                let last = geometry.vpn_of(VirtAddr(hi - 1)).0;
-                for vpn in first..=last {
-                    per_color
-                        .entry(coloring.color_of(vpn))
-                        .or_default()
-                        .insert(vpn);
-                }
-            };
-            for fp in spec.access_footprints() {
-                for &(lo, hi) in &fp.intervals {
-                    touch(lo, hi);
-                }
-            }
-            if spec.lo < spec.hi {
-                let code_lines = spec.code_bytes.div_ceil(spec.granularity).max(1);
-                touch(
-                    spec.code_base,
-                    spec.code_base + code_lines * spec.granularity,
-                );
-            }
-            if per_color
-                .values()
-                .any(|pages| pages.len() as u64 > machine.l2_assoc)
-            {
-                return false;
-            }
+    report: &mut Report,
+) {
+    let coloring = ColoringModel::page_coloring(machine);
+    for ((pi, si), phase, nest, _) in crate::parallel_stmts(program, compiled) {
+        let mut map = InterferenceMap::build(compiled, machine, Scope::Stmt(pi, si));
+        for pages in &mut map.pages {
+            pages.retain(|_, page| page.regions.iter().any(|r| *r != RegionId::Code));
         }
+        let Some(worst) = map
+            .overloads(&coloring, machine.l2_assoc)
+            .into_iter()
+            .filter(|load| map.pages_of(load.cpu) <= machine.cache_pages())
+            .max_by_key(|load| (load.pages, Reverse(load.cpu), load.color))
+        else {
+            continue;
+        };
+        let arrays: BTreeSet<&str> = nest
+            .accesses
+            .iter()
+            .map(|a| program.arrays[a.array.0].name.as_str())
+            .collect();
+        report.push(Diagnostic::new(
+            RULE_COLOR_PRESSURE,
+            Severity::Warn,
+            Location {
+                phase: Some(phase.name.clone()),
+                loop_name: Some(nest.name.clone()),
+                array: None,
+            },
+            format!(
+                "CPU {} touches {} pages that fit the cache, but {} of \
+                 them share color {} against {}-way sets ({} colors): naive page \
+                 placement will conflict-thrash arrays [{}]. Color pages explicitly \
+                 (compiler hints) or stagger the array bases.",
+                worst.cpu,
+                map.pages_of(worst.cpu),
+                worst.pages,
+                worst.color,
+                machine.l2_assoc,
+                machine.num_colors(),
+                arrays.into_iter().collect::<Vec<_>>().join(", ")
+            ),
+        ));
     }
-    true
 }
 
 #[cfg(test)]
@@ -452,6 +459,11 @@ mod tests {
         }
     }
 
+    /// Compile options for [`machine`].
+    fn opts() -> CompileOptions {
+        CompileOptions::new(2).with_l2_cache(32 << 10)
+    }
+
     fn sweep(name: &str, arr: cdpc_compiler::ir::ArrayRef, iters: u64) -> Stmt {
         Stmt {
             kind: StmtKind::Parallel,
@@ -464,6 +476,134 @@ mod tests {
         }
     }
 
+    /// The `conflict/color-pressure` findings for `program` on `machine`.
+    /// The unaligned layout packs arrays back to back, so untouched filler
+    /// arrays place the bases.
+    fn color_pressure(program: &Program, machine: &MachineModel) -> Report {
+        let opts = CompileOptions {
+            suppress_threshold: 0,
+            ..opts().unaligned()
+        };
+        let compiled = compile(program, &opts).expect("compiles");
+        let mut report = Report::new(&program.name, machine.num_cpus, &[]);
+        check_color_pressure(program, &compiled, machine, &mut report);
+        report
+    }
+
+    /// One statement reading A through `a_pattern` and writing B, 16 KB
+    /// each, so each CPU touches two pages of B; B starts `gap` bytes
+    /// after A ends.
+    fn two_arrays(a_pattern: AccessPattern, gap: u64) -> Program {
+        let mut p = Program::new("conflict-test");
+        let a = p.array("A", 16 << 10);
+        p.array("gap", gap);
+        let b = p.array("B", 16 << 10);
+        p.phase(Phase {
+            name: "main".into(),
+            stmts: vec![Stmt {
+                kind: StmtKind::Parallel,
+                nest: LoopNest::new("sweep", 4, 100)
+                    .with_access(Access::read(a, a_pattern))
+                    .with_access(Access::write(
+                        b,
+                        AccessPattern::Partitioned { unit_bytes: 4096 },
+                    )),
+            }],
+            count: 1,
+        });
+        p
+    }
+
+    fn rules(r: &Report) -> Vec<&str> {
+        r.diagnostics.iter().map(|d| d.rule.as_str()).collect()
+    }
+
+    const PAGES: AccessPattern = AccessPattern::Partitioned { unit_bytes: 4096 };
+
+    #[test]
+    fn cache_distance_bases_conflict() {
+        // B exactly one cache size after A: every page of B shares its
+        // color with the corresponding page of A.
+        let r = color_pressure(&two_arrays(PAGES, 16 << 10), &machine());
+        assert_eq!(rules(&r), vec![RULE_COLOR_PRESSURE]);
+        assert!(r.diagnostics[0].message.contains("share color"));
+    }
+
+    #[test]
+    fn multiple_of_cache_size_also_conflicts() {
+        let r = color_pressure(&two_arrays(PAGES, 80 << 10), &machine());
+        assert_eq!(rules(&r), vec![RULE_COLOR_PRESSURE]);
+    }
+
+    #[test]
+    fn higher_associativity_absorbs_two_way_pressure() {
+        // Two cache sizes apart, but a 2-way cache holds both pages.
+        let m = MachineModel {
+            l2_assoc: 2,
+            ..machine()
+        };
+        let r = color_pressure(&two_arrays(PAGES, 48 << 10), &m);
+        assert!(rules(&r).is_empty(), "got {:?}", rules(&r));
+    }
+
+    #[test]
+    fn staggered_bases_are_clean() {
+        // B half the cache after A: A's and B's pages use distinct colors.
+        let r = color_pressure(&two_arrays(PAGES, 32 << 10), &machine());
+        assert!(rules(&r).is_empty(), "got {:?}", rules(&r));
+    }
+
+    #[test]
+    fn capacity_sized_footprints_are_not_conflicts() {
+        // One array far larger than the cache: every color is loaded, but
+        // that is a capacity problem, not a placement problem.
+        let mut p = Program::new("capacity");
+        let a = p.array("A", 256 << 10);
+        p.phase(Phase {
+            name: "main".into(),
+            stmts: vec![Stmt {
+                kind: StmtKind::Parallel,
+                nest: LoopNest::new("sweep", 64, 100).with_access(Access::write(a, PAGES)),
+            }],
+            count: 1,
+        });
+        let r = color_pressure(&p, &machine());
+        assert!(rules(&r).is_empty(), "got {:?}", rules(&r));
+    }
+
+    #[test]
+    fn irregular_accesses_count_their_bounded_footprint() {
+        // A's irregular read is bounded by all four of its pages on each
+        // CPU, and B's pages share their colors.
+        let irregular = AccessPattern::Irregular {
+            touches_per_iter: 4,
+        };
+        let r = color_pressure(&two_arrays(irregular, 16 << 10), &machine());
+        assert_eq!(rules(&r), vec![RULE_COLOR_PRESSURE]);
+    }
+
+    #[test]
+    fn statements_that_collide_only_together_get_split_advice() {
+        // A and B one cache size apart, each swept by its own statement:
+        // each statement fits alone, the phase union overloads.
+        let mut p = Program::new("split-me");
+        let a = p.array("A", 16 << 10);
+        p.array("gap", 16 << 10);
+        let b = p.array("B", 16 << 10);
+        p.phase(Phase {
+            name: "steady".into(),
+            stmts: vec![sweep("sa", a, 16), sweep("sb", b, 16)],
+            count: 1,
+        });
+        let m = machine();
+        let lint = color_pressure(&p, &m);
+        assert!(lint.diagnostics.is_empty(), "{}", lint.render());
+        let (pred, report) =
+            predict_program(&p, &opts().unaligned(), &m, ProverPolicy::PageColoring);
+        assert!(!pred.phases[0].proven_free);
+        assert!(report.with_rule(RULE_PHASE_PRESSURE).next().is_some());
+    }
+
     #[test]
     fn small_program_is_proven_free() {
         let mut p = Program::new("clean");
@@ -473,12 +613,7 @@ mod tests {
             stmts: vec![sweep("s", a, 8)],
             count: 1,
         });
-        let (pred, report) = predict_program(
-            &p,
-            &prover_opts(&machine()),
-            &machine(),
-            ProverPolicy::PageColoring,
-        );
+        let (pred, report) = predict_program(&p, &opts(), &machine(), ProverPolicy::PageColoring);
         assert!(pred.proven_free, "2 pages over 8 colors cannot conflict");
         assert!(pred.cells.is_empty());
         assert_eq!(pred.confidence, 100);
@@ -502,7 +637,7 @@ mod tests {
             count: 2,
         });
         let m = machine();
-        let (pred, report) = predict_program(&p, &prover_opts(&m), &m, ProverPolicy::PageColoring);
+        let (pred, report) = predict_program(&p, &opts(), &m, ProverPolicy::PageColoring);
         assert!(!pred.proven_free);
         assert!(!pred.cells.is_empty());
         assert!(pred.est_misses > 0);
@@ -540,7 +675,7 @@ mod tests {
             count: 1,
         });
         let m = machine();
-        let (pred, report) = predict_program(&p, &prover_opts(&m), &m, ProverPolicy::PageColoring);
+        let (pred, report) = predict_program(&p, &opts(), &m, ProverPolicy::PageColoring);
         assert!(!pred.proven_free, "code page collides with A on cpu 0");
         let pad = report
             .diagnostics
@@ -555,8 +690,56 @@ mod tests {
         let mut fixed = p.clone();
         let idx = fixed.arrays.iter().position(|ad| ad.name == pad.0).unwrap();
         fixed.arrays[idx].bytes += pad.1 * m.page_bytes;
-        let (pred2, _) = predict_program(&fixed, &prover_opts(&m), &m, ProverPolicy::PageColoring);
+        let (pred2, _) = predict_program(&fixed, &opts(), &m, ProverPolicy::PageColoring);
         assert!(pred2.proven_free, "applied fix-it removes the conflict");
+    }
+
+    #[test]
+    fn pad_fixit_is_verified_with_the_callers_compile_options() {
+        // Three grouped 8 KB arrays. The aligned layout pads grouped
+        // arrays apart in the on-chip cache, so a 2 KB L1 lays them out
+        // differently from the default 32 KB one: a pad verified against
+        // the default layout does not clear this one.
+        let mut p = Program::new("small-l1");
+        let arrays: Vec<_> = ["A", "B", "C"].map(|n| p.array(n, 8 << 10)).into();
+        let mut nest = LoopNest::new("abc", 8, 500);
+        for (i, &a) in arrays.iter().enumerate() {
+            let pattern = AccessPattern::Partitioned { unit_bytes: 1024 };
+            nest = nest.with_access(if i == 2 {
+                Access::write(a, pattern)
+            } else {
+                Access::read(a, pattern)
+            });
+        }
+        p.phase(Phase {
+            name: "steady".into(),
+            stmts: vec![Stmt {
+                kind: StmtKind::Parallel,
+                nest,
+            }],
+            count: 1,
+        });
+        let m = machine();
+        let opts = CompileOptions {
+            l1_cache_bytes: 2 << 10,
+            ..opts()
+        };
+        let (pred, report) = predict_program(&p, &opts, &m, ProverPolicy::PageColoring);
+        assert!(!pred.proven_free);
+        let (array, pad_pages) = report
+            .diagnostics
+            .iter()
+            .flat_map(|d| d.fixits.iter())
+            .find_map(|f| match f {
+                FixIt::PadArray { array, pad_pages } => Some((array.clone(), *pad_pages)),
+                _ => None,
+            })
+            .expect("prover finds a verified pad");
+        let mut fixed = p.clone();
+        let idx = fixed.arrays.iter().position(|a| a.name == array).unwrap();
+        fixed.arrays[idx].bytes += pad_pages * m.page_bytes;
+        let (pred2, _) = predict_program(&fixed, &opts, &m, ProverPolicy::PageColoring);
+        assert!(pred2.proven_free, "pad {array} by {pad_pages} must hold");
     }
 
     #[test]
@@ -584,7 +767,7 @@ mod tests {
             count: 1,
         });
         let m = machine();
-        let (pred, report) = predict_program(&p, &prover_opts(&m), &m, ProverPolicy::PageColoring);
+        let (pred, report) = predict_program(&p, &opts(), &m, ProverPolicy::PageColoring);
         assert!(!pred.proven_free, "the bound itself oversubscribes");
         assert_eq!(pred.confidence, CONF_BOUNDED);
         assert!(report

@@ -17,12 +17,20 @@
 //!   distributed loop: no static footprint exists, so disjointness cannot
 //!   be established. Programs that synchronize such writes by other means
 //!   annotate `allow_lint("race/irregular-write")`.
+//!
+//! Footprints here are the exact byte intervals of each CPU's units, not
+//! the compiler's [`AccessFootprint`]s: those round each start down to
+//! the demand or prefetch line, so two CPUs writing neighboring units
+//! that share a line would overlap there. That is false sharing (the
+//! [`sharing`](crate::sharing) lint's business), not a race.
+//!
+//! [`AccessFootprint`]: cdpc_compiler::trace::AccessFootprint
 
-use cdpc_compiler::ir::{Access, AccessPattern, Program};
-use cdpc_compiler::parallelize::{ParallelPlan, StmtSchedule};
+use cdpc_compiler::ir::{AccessPattern, Program};
+use cdpc_compiler::trace::{OpSpec, ResolvedAccess};
+use cdpc_compiler::CompiledProgram;
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
-use crate::footprint::{cpu_intervals, intersect, Interval};
 
 /// Rule id: overlapping write footprints.
 pub const RULE_WRITE_WRITE: &str = "race/write-write";
@@ -31,88 +39,74 @@ pub const RULE_READ_WRITE: &str = "race/read-write";
 /// Rule id: statically unboundable write in a distributed loop.
 pub const RULE_IRREGULAR_WRITE: &str = "race/irregular-write";
 
-/// Runs the race lints over every distributed statement.
-pub fn check(program: &Program, plan: &ParallelPlan, report: &mut Report) {
-    let p = plan.num_cpus();
-    if p < 2 {
-        return;
-    }
-    for (pi, phase) in program.phases.iter().enumerate() {
-        for (si, stmt) in phase.stmts.iter().enumerate() {
-            let StmtSchedule::Distributed { policy, direction } = plan.schedule(pi, si) else {
-                continue;
-            };
-            let nest = &stmt.nest;
-            let loc = |array: usize| {
-                Location::at(
-                    phase.name.clone(),
-                    nest.name.clone(),
-                    program
-                        .arrays
-                        .get(array)
-                        .map_or_else(|| format!("#{array}"), |d| d.name.clone()),
-                )
-            };
-            // Rules already reported for an array in this statement (one
-            // finding per array per rule, not one per CPU pair).
-            let mut reported: Vec<(usize, &str)> = Vec::new();
-            let mut emit = |report: &mut Report, array: usize, rule: &'static str, msg: String| {
-                if !reported.contains(&(array, rule)) {
-                    reported.push((array, rule));
-                    report.push(Diagnostic::new(rule, Severity::Error, loc(array), msg));
-                }
-            };
+/// Byte interval `[start, end)` relative to the array's first byte.
+type Interval = (u64, u64);
 
-            for acc in &nest.accesses {
-                if !acc.is_write {
+/// Runs the race lints over every distributed statement.
+pub fn check(program: &Program, compiled: &CompiledProgram, report: &mut Report) {
+    for (_, phase, nest, specs) in crate::parallel_stmts(program, compiled) {
+        let p = specs.len();
+        let loc = |array: usize| {
+            Location::at(
+                phase.name.clone(),
+                nest.name.clone(),
+                program.arrays[array].name.clone(),
+            )
+        };
+        // Rules already reported for an array in this statement (one
+        // finding per array per rule, not one per CPU pair).
+        let mut reported: Vec<(usize, &str)> = Vec::new();
+        let mut emit = |report: &mut Report, array: usize, rule: &'static str, msg: String| {
+            if !reported.contains(&(array, rule)) {
+                reported.push((array, rule));
+                report.push(Diagnostic::new(rule, Severity::Error, loc(array), msg));
+            }
+        };
+        // Every CPU's stream carries the same resolved accesses, in the
+        // source order of `nest.accesses`.
+        let resolved = &specs[0].accesses;
+
+        for (acc, res) in nest.accesses.iter().zip(resolved) {
+            if !res.is_write {
+                continue;
+            }
+            match res.pattern {
+                AccessPattern::Irregular { .. } => emit(
+                    report,
+                    acc.array.0,
+                    RULE_IRREGULAR_WRITE,
+                    format!(
+                        "irregular write in distributed loop `{}`: the footprint has no \
+                         static bound, so cross-processor disjointness cannot be \
+                         established",
+                        nest.name
+                    ),
+                ),
+                AccessPattern::WholeArray => emit(
+                    report,
+                    acc.array.0,
+                    RULE_WRITE_WRITE,
+                    format!(
+                        "whole-array write in distributed loop `{}`: all {p} processors \
+                         write every byte concurrently",
+                        nest.name
+                    ),
+                ),
+                _ => {}
+            }
+        }
+
+        for (i, (acc_a, a)) in nest.accesses.iter().zip(resolved).enumerate() {
+            for (acc_b, b) in nest.accesses[i..].iter().zip(&resolved[i..]) {
+                if acc_a.array != acc_b.array
+                    || (!a.is_write && !b.is_write)
+                    || is_unbounded_or_covered(a)
+                    || is_unbounded_or_covered(b)
+                {
                     continue;
                 }
-                match acc.pattern {
-                    AccessPattern::Irregular { .. } => emit(
-                        report,
-                        acc.array.0,
-                        RULE_IRREGULAR_WRITE,
-                        format!(
-                            "irregular write in distributed loop `{}`: the footprint has no \
-                             static bound, so cross-processor disjointness cannot be \
-                             established",
-                            nest.name
-                        ),
-                    ),
-                    AccessPattern::WholeArray => emit(
-                        report,
-                        acc.array.0,
-                        RULE_WRITE_WRITE,
-                        format!(
-                            "whole-array write in distributed loop `{}`: all {p} processors \
-                             write every byte concurrently",
-                            nest.name
-                        ),
-                    ),
-                    _ => {}
-                }
-            }
-
-            for (i, a) in nest.accesses.iter().enumerate() {
-                for b in &nest.accesses[i..] {
-                    if a.array != b.array
-                        || (!a.is_write && !b.is_write)
-                        || is_unbounded_or_covered(a)
-                        || is_unbounded_or_covered(b)
-                    {
-                        continue;
-                    }
-                    if let Some((rule, msg)) = first_overlap(
-                        a,
-                        b,
-                        nest.iterations,
-                        array_bytes(program, a.array.0),
-                        policy,
-                        direction,
-                        p,
-                    ) {
-                        emit(report, a.array.0, rule, msg);
-                    }
+                if let Some((rule, msg)) = first_overlap(a, b, specs) {
+                    emit(report, acc_a.array.0, rule, msg);
                 }
             }
         }
@@ -121,41 +115,25 @@ pub fn check(program: &Program, plan: &ParallelPlan, report: &mut Report) {
 
 /// Accesses the pairwise footprint check skips: irregular (no footprint)
 /// and whole-array writes (already reported as `race/write-write`).
-fn is_unbounded_or_covered(a: &Access) -> bool {
+fn is_unbounded_or_covered(a: &ResolvedAccess) -> bool {
     matches!(a.pattern, AccessPattern::Irregular { .. })
         || (a.is_write && matches!(a.pattern, AccessPattern::WholeArray))
 }
 
-fn array_bytes(program: &Program, array: usize) -> u64 {
-    program.arrays.get(array).map_or(0, |d| d.bytes)
-}
-
 /// Searches CPU pairs for an unexplained overlap between two accesses,
 /// returning the rule and message of the first one found.
-#[allow(clippy::too_many_arguments)]
 fn first_overlap(
-    a: &Access,
-    b: &Access,
-    iterations: u64,
-    bytes: u64,
-    policy: cdpc_core::summary::PartitionPolicy,
-    direction: cdpc_core::summary::PartitionDirection,
-    p: usize,
+    a: &ResolvedAccess,
+    b: &ResolvedAccess,
+    specs: &[OpSpec],
 ) -> Option<(&'static str, String)> {
-    if iterations == 0 || unit_of(a) == Some(0) || unit_of(b) == Some(0) {
-        return None; // structural lints own degenerate shapes
-    }
-    for c1 in 0..p {
-        let fa = cpu_intervals(
-            a.pattern, iterations, bytes, policy, direction, c1, p, a.is_write,
-        )?;
-        for c2 in 0..p {
+    for (c1, s1) in specs.iter().enumerate() {
+        let fa = cpu_intervals(a, s1, a.is_write)?;
+        for (c2, s2) in specs.iter().enumerate() {
             if c1 == c2 {
                 continue;
             }
-            let fb = cpu_intervals(
-                b.pattern, iterations, bytes, policy, direction, c2, p, b.is_write,
-            )?;
+            let fb = cpu_intervals(b, s2, b.is_write)?;
             let overlap = intersect(&fa, &fb);
             if overlap.is_empty() {
                 continue;
@@ -177,9 +155,7 @@ fn first_overlap(
             } else {
                 (a, b, c1, c2)
             };
-            if halo_explains(
-                reader, writer, iterations, bytes, policy, direction, rc, wc, p, &overlap,
-            ) {
+            if halo_explains(reader, writer, &specs[rc], rc, wc, specs.len(), &overlap) {
                 continue;
             }
             return Some((
@@ -199,14 +175,10 @@ fn first_overlap(
 /// compiler would summarize: the reader is a stencil, the overlap lies
 /// entirely in its halo extension (outside its own core units), the unit
 /// sizes agree, and the two CPUs are neighbors (or the wraparound pair).
-#[allow(clippy::too_many_arguments)]
 fn halo_explains(
-    reader: &Access,
-    writer: &Access,
-    iterations: u64,
-    bytes: u64,
-    policy: cdpc_core::summary::PartitionPolicy,
-    direction: cdpc_core::summary::PartitionDirection,
+    reader: &ResolvedAccess,
+    writer: &ResolvedAccess,
+    reader_spec: &OpSpec,
     rc: usize,
     wc: usize,
     p: usize,
@@ -229,22 +201,101 @@ fn halo_explains(
     }
     // Core footprint: what the reader *owns* (its write region). A stencil
     // is affine, so `cpu_intervals` cannot return `None` here.
-    let Some(core) = cpu_intervals(
-        reader.pattern,
-        iterations,
-        bytes,
-        policy,
-        direction,
-        rc,
-        p,
-        true,
-    ) else {
+    let Some(core) = cpu_intervals(reader, reader_spec, true) else {
         return false;
     };
     intersect(overlap, &core).is_empty()
 }
 
-fn unit_of(a: &Access) -> Option<u64> {
+/// The byte intervals of its array that one CPU's stream `spec` touches
+/// through `acc`, relative to the array's first byte.
+///
+/// * `writes_only` restricts a stencil to its core (stencils write the
+///   owned units; the halo is read-only).
+/// * Returns `None` for [`AccessPattern::Irregular`] — no static bound.
+/// * Stencil halos are clamped to the loop's units; a stencil with
+///   periodic boundaries (`wraparound`) may return two intervals.
+fn cpu_intervals(acc: &ResolvedAccess, spec: &OpSpec, writes_only: bool) -> Option<Vec<Interval>> {
+    let (lo, hi, iterations) = (spec.lo, spec.hi, spec.total_iters);
+    match acc.pattern {
+        AccessPattern::Partitioned { unit_bytes } => Some(byte_intervals(lo, hi, unit_bytes)),
+        AccessPattern::Stencil {
+            unit_bytes,
+            halo_units,
+            wraparound,
+        } => {
+            if lo == hi {
+                return Some(Vec::new());
+            }
+            if writes_only {
+                return Some(byte_intervals(lo, hi, unit_bytes));
+            }
+            let mut out = byte_intervals(
+                lo.saturating_sub(halo_units),
+                (hi + halo_units).min(iterations),
+                unit_bytes,
+            );
+            if wraparound {
+                // Periodic boundary: the first owner also reads the last
+                // units and vice versa.
+                if lo < halo_units {
+                    let wrap_lo = iterations.saturating_sub(halo_units - lo);
+                    out.extend(byte_intervals(wrap_lo, iterations, unit_bytes));
+                }
+                if hi + halo_units > iterations {
+                    let wrap_hi = (hi + halo_units - iterations).min(iterations);
+                    out.extend(byte_intervals(0, wrap_hi, unit_bytes));
+                }
+            }
+            Some(normalize(out))
+        }
+        AccessPattern::WholeArray => Some(if acc.bytes > 0 {
+            vec![(0, acc.bytes)]
+        } else {
+            Vec::new()
+        }),
+        AccessPattern::Irregular { .. } => None,
+    }
+}
+
+fn byte_intervals(lo_unit: u64, hi_unit: u64, unit_bytes: u64) -> Vec<Interval> {
+    if lo_unit >= hi_unit {
+        Vec::new()
+    } else {
+        vec![(lo_unit * unit_bytes, hi_unit * unit_bytes)]
+    }
+}
+
+/// Sorts and merges touching/overlapping intervals.
+fn normalize(mut intervals: Vec<Interval>) -> Vec<Interval> {
+    intervals.retain(|&(a, b)| a < b);
+    intervals.sort_unstable();
+    let mut out: Vec<Interval> = Vec::with_capacity(intervals.len());
+    for (a, b) in intervals {
+        match out.last_mut() {
+            Some(last) if a <= last.1 => last.1 = last.1.max(b),
+            _ => out.push((a, b)),
+        }
+    }
+    out
+}
+
+/// The intersection of two interval lists (both need not be normalized).
+fn intersect(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
+    let mut out = Vec::new();
+    for &(a0, a1) in a {
+        for &(b0, b1) in b {
+            let lo = a0.max(b0);
+            let hi = a1.min(b1);
+            if lo < hi {
+                out.push((lo, hi));
+            }
+        }
+    }
+    normalize(out)
+}
+
+fn unit_of(a: &ResolvedAccess) -> Option<u64> {
     match a.pattern {
         AccessPattern::Partitioned { unit_bytes } | AccessPattern::Stencil { unit_bytes, .. } => {
             Some(unit_bytes)
@@ -253,7 +304,7 @@ fn unit_of(a: &Access) -> Option<u64> {
     }
 }
 
-fn unit_str(a: &Access) -> String {
+fn unit_str(a: &ResolvedAccess) -> String {
     match unit_of(a) {
         Some(u) => format!("{u} B"),
         None => "whole-array".to_string(),
@@ -270,8 +321,8 @@ fn fmt_intervals(iv: &[Interval]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdpc_compiler::ir::{AccessPattern as P, LoopNest, Phase, Stmt, StmtKind};
-    use cdpc_compiler::parallelize::{parallelize, ParallelizeOptions};
+    use cdpc_compiler::ir::{Access, AccessPattern as P, LoopNest, Phase, Stmt, StmtKind};
+    use cdpc_compiler::{compile, CompileOptions, CompiledStmt};
 
     fn one_stmt_program(kind: StmtKind, bytes: u64, accesses: Vec<Access>) -> Program {
         let mut p = Program::new("race-test");
@@ -290,18 +341,140 @@ mod tests {
         p
     }
 
+    /// No suppression threshold, so every parallel loop is distributed
+    /// however little work it does.
+    fn distributed(cpus: usize) -> CompileOptions {
+        CompileOptions {
+            suppress_threshold: 0,
+            ..CompileOptions::new(cpus)
+        }
+    }
+
     fn lint(program: &Program, cpus: usize) -> Report {
-        let plan = parallelize(
-            program,
-            &ParallelizeOptions {
-                num_cpus: cpus,
-                suppress_threshold: 0,
-                ..ParallelizeOptions::default()
-            },
-        );
+        let compiled = compile(program, &distributed(cpus)).expect("compiles");
         let mut report = Report::new(&program.name, cpus, &program.lint_allows);
-        check(program, &plan, &mut report);
+        check(program, &compiled, &mut report);
         report
+    }
+
+    /// Every CPU's intervals of a loop of `iters` units, compiled with
+    /// `opts`, that reads an array of `bytes` through `pattern`.
+    fn footprints(
+        pattern: P,
+        iters: u64,
+        bytes: u64,
+        opts: &CompileOptions,
+        writes_only: bool,
+    ) -> Vec<Option<Vec<Interval>>> {
+        let mut p = Program::new("footprint");
+        let a = p.array("A", bytes);
+        p.phase(Phase {
+            name: "main".into(),
+            stmts: vec![Stmt {
+                kind: StmtKind::Parallel,
+                nest: LoopNest::new("l", iters, 100).with_access(Access::read(a, pattern)),
+            }],
+            count: 1,
+        });
+        let compiled = compile(&p, opts).expect("compiles");
+        let CompiledStmt::Parallel { specs } = &compiled.phases[0].stmts[0] else {
+            panic!("expected a distributed statement");
+        };
+        specs
+            .iter()
+            .map(|s| cpu_intervals(&s.accesses[0], s, writes_only))
+            .collect()
+    }
+
+    fn assert_disjoint(fps: &[Option<Vec<Interval>>]) {
+        for i in 0..fps.len() {
+            for j in i + 1..fps.len() {
+                let (a, b) = (fps[i].as_ref().unwrap(), fps[j].as_ref().unwrap());
+                assert!(intersect(a, b).is_empty(), "CPUs {i} and {j} overlap");
+            }
+        }
+    }
+
+    #[test]
+    fn partitioned_footprints_tile_disjointly() {
+        let fps = footprints(
+            P::Partitioned { unit_bytes: 100 },
+            8,
+            800,
+            &distributed(4),
+            false,
+        );
+        assert_eq!(fps[0], Some(vec![(0, 200)]));
+        assert_eq!(fps[3], Some(vec![(600, 800)]));
+        assert_disjoint(&fps);
+    }
+
+    #[test]
+    fn stencil_reads_extend_writes_do_not() {
+        let pat = P::Stencil {
+            unit_bytes: 100,
+            halo_units: 1,
+            wraparound: false,
+        };
+        // Units 2..4 plus one halo unit each side.
+        let reads = footprints(pat, 8, 800, &distributed(4), false);
+        let writes = footprints(pat, 8, 800, &distributed(4), true);
+        assert_eq!(reads[1], Some(vec![(100, 500)]));
+        assert_eq!(writes[1], Some(vec![(200, 400)]));
+    }
+
+    #[test]
+    fn wraparound_stencil_wraps_both_ends() {
+        let pat = P::Stencil {
+            unit_bytes: 10,
+            halo_units: 1,
+            wraparound: true,
+        };
+        let fps = footprints(pat, 8, 80, &distributed(4), false);
+        assert_eq!(fps[0], Some(vec![(0, 30), (70, 80)]));
+        assert_eq!(fps[3], Some(vec![(0, 10), (50, 80)]));
+    }
+
+    #[test]
+    fn irregular_has_no_static_footprint() {
+        let irregular = P::Irregular {
+            touches_per_iter: 4,
+        };
+        let fps = footprints(irregular, 8, 800, &distributed(4), false);
+        assert_eq!(fps[0], None);
+    }
+
+    #[test]
+    fn normalize_merges_and_intersect_clips() {
+        assert_eq!(
+            normalize(vec![(5, 10), (0, 5), (20, 30)]),
+            vec![(0, 10), (20, 30)]
+        );
+        assert_eq!(intersect(&[(0, 10)], &[(5, 20)]), vec![(5, 10)]);
+        assert_eq!(intersect(&[(0, 5)], &[(5, 20)]), Vec::<Interval>::new());
+    }
+
+    #[test]
+    fn reverse_direction_mirrors_forward_ownership() {
+        let reverse = CompileOptions {
+            partition_direction: cdpc_core::summary::PartitionDirection::Reverse,
+            ..distributed(4)
+        };
+        let unit = P::Partitioned { unit_bytes: 100 };
+        // Blocked, 10 units over 4 CPUs: per = 3, forward ranges
+        // (0,3)(3,6)(6,9)(9,10). Reverse hands them out back to front.
+        let fps = footprints(unit, 10, 1000, &reverse, false);
+        assert_eq!(fps[0], Some(vec![(900, 1000)]));
+        assert_eq!(fps[3], Some(vec![(0, 300)]));
+        // Reverse footprints still tile the array disjointly and cover it.
+        assert_disjoint(&fps);
+        let union = normalize(fps.into_iter().flatten().flatten().collect());
+        assert_eq!(union, vec![(0, 1000)]);
+        // 9 units: the forward-trailing empty range lands on the FIRST
+        // reverse CPU.
+        let fps = footprints(unit, 9, 900, &reverse, false);
+        assert_eq!(fps[0], Some(Vec::new()));
+        assert_eq!(fps[1], Some(vec![(600, 900)]));
     }
 
     fn rules(report: &Report) -> Vec<&str> {

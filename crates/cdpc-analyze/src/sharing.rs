@@ -15,11 +15,9 @@
 //!   line-aligned, so even perfectly sized units straddle lines.
 
 use cdpc_compiler::ir::{AccessPattern, Program};
-use cdpc_compiler::layout::DataLayout;
-use cdpc_compiler::parallelize::{ParallelPlan, StmtSchedule};
+use cdpc_compiler::CompiledProgram;
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
-use crate::footprint::unit_range;
 use crate::machine::MachineModel;
 
 /// Rule id: partition boundary inside an L2 line.
@@ -30,93 +28,77 @@ pub const RULE_ARRAY_STRADDLE: &str = "sharing/array-straddle";
 /// Runs the false-sharing lints over every distributed statement.
 pub fn check(
     program: &Program,
-    plan: &ParallelPlan,
-    layout: &DataLayout,
+    compiled: &CompiledProgram,
     machine: &MachineModel,
     report: &mut Report,
 ) {
-    let p = plan.num_cpus();
     let line = machine.l2_line_bytes;
-    if p < 2 || line == 0 {
+    if line == 0 {
         return;
     }
     let mut straddle_flagged: Vec<usize> = Vec::new();
-    for (pi, phase) in program.phases.iter().enumerate() {
-        for (si, stmt) in phase.stmts.iter().enumerate() {
-            let StmtSchedule::Distributed { policy, direction } = plan.schedule(pi, si) else {
+    for (_, phase, nest, specs) in crate::parallel_stmts(program, compiled) {
+        let mut boundary_flagged: Vec<usize> = Vec::new();
+        for (acc, res) in nest.accesses.iter().zip(&specs[0].accesses) {
+            if !res.is_write {
                 continue;
+            }
+            let unit = match res.pattern {
+                AccessPattern::Partitioned { unit_bytes }
+                | AccessPattern::Stencil { unit_bytes, .. } => unit_bytes,
+                _ => continue,
             };
-            let nest = &stmt.nest;
-            let mut boundary_flagged: Vec<usize> = Vec::new();
-            for acc in &nest.accesses {
-                if !acc.is_write {
-                    continue;
-                }
-                let unit = match acc.pattern {
-                    AccessPattern::Partitioned { unit_bytes }
-                    | AccessPattern::Stencil { unit_bytes, .. } => unit_bytes,
-                    _ => continue,
-                };
-                if unit == 0 || nest.iterations == 0 || acc.array.0 >= layout.bases.len() {
-                    continue;
-                }
-                let Some(decl) = program.arrays.get(acc.array.0) else {
-                    continue;
-                };
-                let base = layout.base(acc.array).0;
-                let loc = Location::at(phase.name.clone(), nest.name.clone(), decl.name.clone());
+            let name = &program.arrays[acc.array.0].name;
+            let base = res.base;
+            let loc = Location::at(phase.name.clone(), nest.name.clone(), name.clone());
 
-                if !base.is_multiple_of(line) && !straddle_flagged.contains(&acc.array.0) {
-                    straddle_flagged.push(acc.array.0);
-                    report.push(Diagnostic::new(
-                        RULE_ARRAY_STRADDLE,
-                        Severity::Warn,
-                        loc.clone(),
-                        format!(
-                            "written array `{}` starts at {base:#x}, not a multiple of the \
-                             {line} B L2 line; every partition boundary straddles a line \
-                             (use the aligned layout)",
-                            decl.name
-                        ),
-                    ));
-                }
+            if !base.is_multiple_of(line) && !straddle_flagged.contains(&acc.array.0) {
+                straddle_flagged.push(acc.array.0);
+                report.push(Diagnostic::new(
+                    RULE_ARRAY_STRADDLE,
+                    Severity::Warn,
+                    loc.clone(),
+                    format!(
+                        "written array `{name}` starts at {base:#x}, not a multiple of the \
+                         {line} B L2 line; every partition boundary straddles a line \
+                         (use the aligned layout)"
+                    ),
+                ));
+            }
 
-                if boundary_flagged.contains(&acc.array.0) {
-                    continue;
-                }
-                // Interior partition boundaries: a unit index `b` where
-                // one CPU's range ends and a neighbor's begins.
-                let mut boundaries: Vec<u64> = Vec::new();
-                for cpu in 0..p {
-                    let (lo, hi) = unit_range(policy, direction, nest.iterations, cpu, p);
-                    for b in [lo, hi] {
-                        if b > 0 && b < nest.iterations && !boundaries.contains(&b) {
-                            boundaries.push(b);
-                        }
+            if boundary_flagged.contains(&acc.array.0) {
+                continue;
+            }
+            // Interior partition boundaries: a unit index `b` where
+            // one CPU's range ends and a neighbor's begins.
+            let mut boundaries: Vec<u64> = Vec::new();
+            for spec in specs {
+                for b in [spec.lo, spec.hi] {
+                    if b > 0 && b < nest.iterations && !boundaries.contains(&b) {
+                        boundaries.push(b);
                     }
                 }
-                let bad: Vec<u64> = boundaries
-                    .iter()
-                    .map(|b| base + b * unit)
-                    .filter(|addr| addr % line != 0)
-                    .collect();
-                if let Some(&first) = bad.first() {
-                    boundary_flagged.push(acc.array.0);
-                    report.push(Diagnostic::new(
-                        RULE_FALSE_BOUNDARY,
-                        Severity::Warn,
-                        loc,
-                        format!(
-                            "{} of {} partition boundaries of `{}` fall inside a {line} B L2 \
-                             line (first at {first:#x}); neighboring processors will false-share \
-                             those lines every sweep. Pad the {unit} B unit to a line multiple \
-                             or enable the aligned layout.",
-                            bad.len(),
-                            boundaries.len(),
-                            decl.name
-                        ),
-                    ));
-                }
+            }
+            let bad: Vec<u64> = boundaries
+                .iter()
+                .map(|b| base + b * unit)
+                .filter(|addr| addr % line != 0)
+                .collect();
+            if let Some(&first) = bad.first() {
+                boundary_flagged.push(acc.array.0);
+                report.push(Diagnostic::new(
+                    RULE_FALSE_BOUNDARY,
+                    Severity::Warn,
+                    loc,
+                    format!(
+                        "{} of {} partition boundaries of `{name}` fall inside a {line} B L2 \
+                         line (first at {first:#x}); neighboring processors will false-share \
+                         those lines every sweep. Pad the {unit} B unit to a line multiple \
+                         or enable the aligned layout.",
+                        bad.len(),
+                        boundaries.len(),
+                    ),
+                ));
             }
         }
     }
@@ -126,8 +108,7 @@ pub fn check(
 mod tests {
     use super::*;
     use cdpc_compiler::ir::{Access, AccessPattern as P, LoopNest, Phase, Stmt, StmtKind};
-    use cdpc_compiler::layout::{layout, LayoutMode, LayoutOptions};
-    use cdpc_compiler::parallelize::{parallelize, ParallelizeOptions};
+    use cdpc_compiler::{compile, CompileOptions, CompiledStmt};
 
     fn program(unit: u64, is_write: bool, stencil: bool) -> Program {
         let mut p = Program::new("sharing-test");
@@ -157,27 +138,21 @@ mod tests {
         p
     }
 
-    fn lint(program: &Program, cpus: usize, mode: LayoutMode) -> Report {
-        let plan = parallelize(
-            program,
-            &ParallelizeOptions {
-                num_cpus: cpus,
-                suppress_threshold: 0,
-                ..ParallelizeOptions::default()
-            },
-        );
-        let lay = layout(
-            program,
-            &LayoutOptions {
-                mode,
-                ..LayoutOptions::default()
-            },
-        );
+    /// Compiles with the aligned layout and no suppression threshold.
+    fn compile_distributed(program: &Program, cpus: usize) -> CompiledProgram {
+        let opts = CompileOptions {
+            suppress_threshold: 0,
+            ..CompileOptions::new(cpus)
+        };
+        compile(program, &opts).expect("compiles")
+    }
+
+    fn lint(program: &Program, cpus: usize) -> Report {
+        let compiled = compile_distributed(program, cpus);
         let mut report = Report::new(&program.name, cpus, &program.lint_allows);
         check(
             program,
-            &plan,
-            &lay,
+            &compiled,
             &MachineModel::paper_base(cpus),
             &mut report,
         );
@@ -193,7 +168,7 @@ mod tests {
         // 100 B units: boundaries at multiples of 100 B, never multiples
         // of the 128 B line.
         let p = program(100, true, false);
-        let r = lint(&p, 4, LayoutMode::Aligned);
+        let r = lint(&p, 4);
         assert_eq!(rules(&r), vec![RULE_FALSE_BOUNDARY]);
         assert_eq!(r.counts(), (0, 1, 0));
     }
@@ -201,27 +176,23 @@ mod tests {
     #[test]
     fn stencil_writes_also_checked() {
         let p = program(100, true, true);
-        let r = lint(&p, 4, LayoutMode::Aligned);
+        let r = lint(&p, 4);
         assert_eq!(rules(&r), vec![RULE_FALSE_BOUNDARY]);
     }
 
     #[test]
     fn misaligned_base_straddles() {
-        // An unaligned layout packs arrays back to back; give the array a
-        // base that is not a line multiple by hand.
+        // Give the array a base that is not a line multiple by hand.
         let p = program(1024, true, false);
-        let plan = parallelize(
-            &p,
-            &ParallelizeOptions {
-                num_cpus: 4,
-                suppress_threshold: 0,
-                ..ParallelizeOptions::default()
-            },
-        );
-        let mut lay = layout(&p, &LayoutOptions::default());
-        lay.bases[0] = cdpc_vm::addr::VirtAddr(lay.bases[0].0 + 32);
+        let mut compiled = compile_distributed(&p, 4);
+        let CompiledStmt::Parallel { specs } = &mut compiled.phases[0].stmts[0] else {
+            panic!("expected a distributed statement");
+        };
+        for spec in specs {
+            spec.accesses[0].base += 32;
+        }
         let mut r = Report::new("t", 4, &[]);
-        check(&p, &plan, &lay, &MachineModel::paper_base(4), &mut r);
+        check(&p, &compiled, &MachineModel::paper_base(4), &mut r);
         assert!(rules(&r).contains(&RULE_ARRAY_STRADDLE));
         assert!(rules(&r).contains(&RULE_FALSE_BOUNDARY));
     }
@@ -229,21 +200,21 @@ mod tests {
     #[test]
     fn line_multiple_units_are_clean() {
         let p = program(1024, true, false);
-        let r = lint(&p, 4, LayoutMode::Aligned);
+        let r = lint(&p, 4);
         assert!(rules(&r).is_empty(), "got {:?}", rules(&r));
     }
 
     #[test]
     fn read_only_accesses_are_clean() {
         let p = program(100, false, false);
-        let r = lint(&p, 4, LayoutMode::Aligned);
+        let r = lint(&p, 4);
         assert!(rules(&r).is_empty());
     }
 
     #[test]
     fn single_cpu_cannot_false_share() {
         let p = program(100, true, false);
-        let r = lint(&p, 1, LayoutMode::Aligned);
+        let r = lint(&p, 1);
         assert!(rules(&r).is_empty());
     }
 }

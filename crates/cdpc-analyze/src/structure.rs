@@ -13,7 +13,6 @@ use cdpc_compiler::ir::{AccessPattern, Program, StmtKind};
 use cdpc_core::summary::AccessSummary;
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
-use crate::footprint::unit_range;
 
 /// Rule id: access to an array the program never declared.
 pub const RULE_UNKNOWN_ARRAY: &str = "struct/unknown-array";
@@ -44,8 +43,8 @@ pub const RULE_STARVED_CPU: &str = "struct/starved-cpu";
 pub const RULE_UNANALYZABLE: &str = "struct/unanalyzable-array";
 
 /// Lints the IR itself. Returns `true` when a *fatal* shape error was
-/// found — one that would make the downstream passes (partitioning
-/// arithmetic, footprints) panic or lie, so analysis must stop here.
+/// found — one that [`compile`](cdpc_compiler::compile) rejects or that
+/// makes partitioning arithmetic undefined, so analysis must stop here.
 pub fn check_program(program: &Program, report: &mut Report) -> bool {
     let mut fatal = false;
     if program.phases.iter().all(|ph| ph.stmts.is_empty()) {
@@ -102,6 +101,7 @@ pub fn check_program(program: &Program, report: &mut Report) -> bool {
                         "affine access with a zero-byte unit",
                     ));
                 } else if unit.saturating_mul(nest.iterations) > decl.bytes {
+                    fatal = true;
                     report.push(Diagnostic::new(
                         RULE_ACCESS_EXCEEDS,
                         Severity::Error,
@@ -158,7 +158,7 @@ pub fn check_summary(summary: &AccessSummary, num_cpus: usize, report: &mut Repo
         let mut covered = 0;
         let mut starved = Vec::new();
         for cpu in 0..num_cpus {
-            let (lo, hi) = unit_range(part.policy, part.direction, part.num_units, cpu, num_cpus);
+            let (lo, hi) = part.unit_range(cpu, num_cpus);
             covered += hi - lo;
             if lo == hi {
                 starved.push(cpu);
@@ -203,13 +203,13 @@ pub fn check_summary(summary: &AccessSummary, num_cpus: usize, report: &mut Repo
                 continue;
             }
             'pairs: for c1 in 0..num_cpus {
-                let (l1, h1) = unit_range(p1.policy, p1.direction, p1.num_units, c1, num_cpus);
+                let (l1, h1) = p1.unit_range(c1, num_cpus);
                 let (b1, e1) = (l1 * p1.unit_bytes, h1 * p1.unit_bytes);
                 for c2 in 0..num_cpus {
                     if c1 == c2 {
                         continue;
                     }
-                    let (l2, h2) = unit_range(p2.policy, p2.direction, p2.num_units, c2, num_cpus);
+                    let (l2, h2) = p2.unit_range(c2, num_cpus);
                     let (b2, e2) = (l2 * p2.unit_bytes, h2 * p2.unit_bytes);
                     if b1.max(b2) < e1.min(e2) {
                         overlap_flagged.push(p1.array);
@@ -392,11 +392,11 @@ mod tests {
     }
 
     #[test]
-    fn oversized_access_is_reported_but_not_fatal() {
+    fn oversized_access_is_fatal() {
         let mut p = valid_program();
         p.phases[0].stmts[0].nest.accesses[0].pattern = P::Partitioned { unit_bytes: 2048 };
         let mut r = report();
-        assert!(!check_program(&p, &mut r));
+        assert!(check_program(&p, &mut r));
         assert_eq!(rules(&r), vec![RULE_ACCESS_EXCEEDS]);
     }
 

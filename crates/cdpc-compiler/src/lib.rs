@@ -42,6 +42,8 @@ mod error;
 
 pub use error::CompileError;
 
+use std::ops::RangeInclusive;
+
 use cdpc_core::summary::{AccessSummary, ArrayPartitioning, PartitionDirection, PartitionPolicy};
 
 use ir::Program;
@@ -103,10 +105,8 @@ impl CompileOptions {
         }
     }
 
-    /// The parallelizer settings these flags imply. Exposed so analysis
-    /// passes (`cdpc-analyze`) reproduce exactly the plan [`compile`]
-    /// would build.
-    pub fn parallelize_options(&self) -> ParallelizeOptions {
+    /// The parallelizer settings these flags imply.
+    fn parallelize_options(&self) -> ParallelizeOptions {
         ParallelizeOptions {
             num_cpus: self.num_cpus,
             suppress_threshold: self.suppress_threshold,
@@ -115,9 +115,8 @@ impl CompileOptions {
         }
     }
 
-    /// The layout settings these flags imply (same contract as
-    /// [`CompileOptions::parallelize_options`]).
-    pub fn layout_options(&self) -> LayoutOptions {
+    /// The layout settings these flags imply.
+    fn layout_options(&self) -> LayoutOptions {
         LayoutOptions {
             mode: self.layout_override.unwrap_or(if self.aligned {
                 LayoutMode::Aligned
@@ -266,6 +265,27 @@ impl CompiledProgram {
         self.arrays
             .iter()
             .position(|a| (a.base.0..a.base.0 + a.bytes).contains(&va))
+    }
+
+    /// The largest loop body of any statement, in bytes: the size of the
+    /// code segment mapped from [`DataLayout::code_base`].
+    pub fn max_code_bytes(&self) -> u64 {
+        self.phases
+            .iter()
+            .flat_map(|ph| &ph.stmts)
+            .map(|s| match s {
+                CompiledStmt::Parallel { specs } => specs.first().map_or(0, |x| x.code_bytes),
+                CompiledStmt::Master { spec, .. } => spec.code_bytes,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The virtual page numbers of the code segment for `page_bytes`
+    /// pages (at least one page, even for empty loop bodies).
+    pub fn code_vpns(&self, page_bytes: u64) -> RangeInclusive<u64> {
+        let base = self.layout.code_base.0;
+        base / page_bytes..=(base + self.max_code_bytes().max(1) - 1) / page_bytes
     }
 }
 

@@ -622,31 +622,6 @@ fn scaled_cpu_stats(stats: &CpuStats, k: u64) -> CpuStats {
     out
 }
 
-/// The largest code segment of any statement, in bytes.
-fn max_code_bytes(compiled: &CompiledProgram) -> u64 {
-    compiled
-        .phases
-        .iter()
-        .flat_map(|ph| ph.stmts.iter())
-        .map(|s| match s {
-            CompiledStmt::Parallel { specs } => specs.first().map(|x| x.code_bytes).unwrap_or(0),
-            CompiledStmt::Master { spec, .. } => spec.code_bytes,
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// The virtual pages of the program's code segment.
-fn code_pages(compiled: &CompiledProgram, page_size: usize) -> Vec<Vpn> {
-    let geometry = PageGeometry::new(page_size);
-    let max_code = max_code_bytes(compiled);
-    let first = geometry.vpn_of(compiled.layout.code_base).0;
-    let last = geometry
-        .vpn_of(VirtAddr(compiled.layout.code_base.0 + max_code.max(1) - 1))
-        .0;
-    (first..=last).map(Vpn).collect()
-}
-
 /// Builds the mapping policy for a run. CDPC hints are generated from the
 /// compiled program's access summary with the run's machine parameters —
 /// the paper's stage-2 run-time step.
@@ -681,7 +656,7 @@ fn build_policy(compiled: &CompiledProgram, cfg: &RunConfig) -> Box<dyn MappingP
             // hints either: CDPC degenerates to the native policy exactly.
             if !hints.is_empty() {
                 let mut color = Color(hints.len() as u32 % colors.num_colors());
-                for vpn in code_pages(compiled, cfg.mem.page_size) {
+                for vpn in compiled.code_vpns(cfg.mem.page_size as u64).map(Vpn) {
                     if table.lookup(vpn).is_none() {
                         table.advise(vpn, color);
                         color = colors.advance(color, 1);
@@ -746,7 +721,7 @@ pub fn run_observed<P: Probe>(
     // Physical memory sized to the touched VA span plus slack, rounded to a
     // whole number of color groups so every color has equal pages.
     let colors = cfg.color_space();
-    let va_end = compiled.layout.code_base.0 + max_code_bytes(compiled) + cfg.mem.page_size as u64;
+    let va_end = compiled.layout.code_base.0 + compiled.max_code_bytes() + cfg.mem.page_size as u64;
     let span_pages = geometry.pages_for(va_end) as f64;
     let n = colors.num_colors() as usize;
     let phys_pages = (((span_pages * cfg.phys_slack) as usize).div_ceil(n)).max(2) * n;
