@@ -73,7 +73,6 @@
 //! # Ok::<(), cdpc_core::CdpcError>(())
 //! ```
 
-pub mod analysis;
 pub mod cyclic;
 pub mod fastmap;
 pub mod fingerprint;

@@ -26,12 +26,12 @@ use std::collections::{BinaryHeap, HashMap};
 use cdpc_compiler::trace::TraceOp;
 use cdpc_compiler::{CompiledProgram, CompiledStmt};
 use cdpc_core::hints::HintOptions;
-use cdpc_core::{generate_hints_with, FxBuildHasher, MachineParams};
+use cdpc_core::{generate_hints_with, ColorHints, FxBuildHasher, MachineParams};
 use cdpc_memsim::{AccessKind, CpuStats, MemConfig, MemStats, MemorySystem};
 use cdpc_obs::{AttributionProbe, HintOutcome, IntervalSeries, NullProbe, Probe, Sample};
 use cdpc_vm::addr::{Color, ColorSpace, PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
 use cdpc_vm::policy::{BinHopping, CdpcPolicy, MappingPolicy, PageColoring};
-use cdpc_vm::AddressSpace;
+use cdpc_vm::{AddressSpace, FaultOutcome};
 
 use crate::report::{BusReport, OverheadBreakdown, RunReport, StallBreakdown};
 
@@ -181,67 +181,11 @@ impl Sampler {
     }
 }
 
-/// Slots in each CPU's micro-translation-cache. Power of two so the index
-/// is a mask; 512 entries (8 KB per CPU) cover the page working set of the
-/// scaled workloads — at 64 slots the direct-mapped cache thrashed on the
-/// multi-hundred-page footprints and the demand path fell back to the page
-/// table for a measurable fraction of references.
-const TCACHE_SLOTS: usize = 512;
-
-/// A per-CPU direct-mapped VPN→PPN cache in front of the page table.
-///
-/// This is *not* the simulated TLB (`cdpc-memsim` models that, with miss
-/// penalties); it is a simulator-internal memoization of
-/// `AddressSpace::translate`. A virtual page's mapping can only change
-/// through [`Sim::recolor_page`], which invalidates the VPN in every CPU's
-/// cache, so a hit is always current and the demand path can skip both
-/// `ensure_mapped` and the page-table walk.
-struct TransCache {
-    /// Tag per slot; [`TransCache::EMPTY`] marks an invalid slot. (Program
-    /// VPNs are tiny and even the hog job's synthetic VPNs start at
-    /// `u64::MAX / 2`, so the sentinel is unreachable.)
-    vpns: [u64; TCACHE_SLOTS],
-    ppns: [u64; TCACHE_SLOTS],
-}
-
-impl TransCache {
-    const EMPTY: u64 = u64::MAX;
-
-    fn new() -> Self {
-        Self {
-            vpns: [Self::EMPTY; TCACHE_SLOTS],
-            ppns: [0; TCACHE_SLOTS],
-        }
-    }
-
-    #[inline]
-    fn lookup(&self, vpn: u64) -> Option<u64> {
-        let slot = (vpn as usize) & (TCACHE_SLOTS - 1);
-        (self.vpns[slot] == vpn).then(|| self.ppns[slot])
-    }
-
-    #[inline]
-    fn insert(&mut self, vpn: u64, ppn: u64) {
-        let slot = (vpn as usize) & (TCACHE_SLOTS - 1);
-        self.vpns[slot] = vpn;
-        self.ppns[slot] = ppn;
-    }
-
-    fn invalidate(&mut self, vpn: u64) {
-        let slot = (vpn as usize) & (TCACHE_SLOTS - 1);
-        if self.vpns[slot] == vpn {
-            self.vpns[slot] = Self::EMPTY;
-        }
-    }
-}
-
 struct Sim<Q: Probe> {
     mem: MemorySystem<Q>,
     vm: AddressSpace,
     policy: Box<dyn MappingPolicy>,
     clocks: Vec<u64>,
-    /// Per-CPU micro-translation-caches (see [`TransCache`]).
-    tcache: Vec<TransCache>,
     /// Dynamic recoloring state: per-page conflict counters, per-color
     /// mapped-page loads, and the number of recolorings performed.
     dynamic: bool,
@@ -263,40 +207,42 @@ struct Sim<Q: Probe> {
 }
 
 impl<Q: Probe> Sim<Q> {
-    fn ensure_mapped(&mut self, cpu: usize, vpn: Vpn) {
-        if !self.vm.is_mapped(vpn) {
-            let faults_before = self.vm.stats();
-            let hints_before = self.policy.hint_lookup_stats();
-            self.vm
-                .fault(vpn, &mut self.policy)
-                .expect("physical memory exhausted: raise phys_slack");
-            let faults_after = self.vm.stats();
-            if let (Some((lb, hb)), Some((la, ha))) =
-                (hints_before, self.policy.hint_lookup_stats())
-            {
-                for i in 0..la.saturating_sub(lb) {
-                    self.mem
-                        .probe_mut()
-                        .on_hint_lookup(vpn.0, i < ha.saturating_sub(hb));
-                }
-            }
-            let outcome = if faults_after.honored > faults_before.honored {
-                HintOutcome::Honored
-            } else if faults_after.fallback > faults_before.fallback {
-                HintOutcome::Fallback
-            } else {
-                HintOutcome::NoPreference
-            };
-            let color = self.vm.color_of(vpn).expect("just mapped");
-            self.clocks[cpu] += self.cfg.page_fault_cycles;
-            self.fault_cycles[cpu] += self.cfg.page_fault_cycles;
-            self.mem
-                .probe_mut()
-                .on_page_fault(cpu, self.clocks[cpu], vpn.0, color.0, outcome);
-            if self.dynamic {
-                self.color_loads[color.0 as usize] += 1;
-            }
+    /// The physical page backing `vpn`, faulting it in on first touch
+    /// (charged to `cpu`).
+    #[inline]
+    fn ensure_mapped(&mut self, cpu: usize, vpn: Vpn) -> Ppn {
+        match self.vm.translate_page(vpn) {
+            Some(ppn) => ppn,
+            None => self.fault(cpu, vpn),
         }
+    }
+
+    /// Serves a first touch: the OS fault, its kernel time, and the
+    /// probe's hint-lookup and page-fault events, all read off the
+    /// returned [`cdpc_vm::Fault`].
+    #[cold]
+    fn fault(&mut self, cpu: usize, vpn: Vpn) -> Ppn {
+        let fault = self
+            .vm
+            .fault(vpn, &mut self.policy)
+            .expect("physical memory exhausted: raise phys_slack");
+        if let Some(hit) = fault.hint_hit {
+            self.mem.probe_mut().on_hint_lookup(vpn.0, hit);
+        }
+        let outcome = match fault.outcome {
+            FaultOutcome::NoPreference => HintOutcome::NoPreference,
+            FaultOutcome::Honored => HintOutcome::Honored,
+            FaultOutcome::Fallback => HintOutcome::Fallback,
+        };
+        self.clocks[cpu] += self.cfg.page_fault_cycles;
+        self.fault_cycles[cpu] += self.cfg.page_fault_cycles;
+        self.mem
+            .probe_mut()
+            .on_page_fault(cpu, self.clocks[cpu], vpn.0, fault.color.0, outcome);
+        if self.dynamic {
+            self.color_loads[fault.color.0 as usize] += 1;
+        }
+        fault.ppn
     }
 
     /// The recoloring operation of a dynamic policy: detect (caller),
@@ -327,11 +273,6 @@ impl<Q: Probe> Sim<Q> {
         self.mem
             .flush_physical_page(self.clocks[cpu], PhysAddr(old_base.0 & !(page - 1)));
         self.mem.shoot_down_tlb(vpn);
-        // The mapping moved: drop the stale translation from every CPU's
-        // micro-cache, mirroring the simulated TLB shootdown above.
-        for tc in &mut self.tcache {
-            tc.invalidate(vpn.0);
-        }
         self.recolorings += 1;
         self.mem
             .probe_mut()
@@ -351,27 +292,13 @@ impl<Q: Probe> Sim<Q> {
         }
     }
 
-    fn translate(&self, va: VirtAddr) -> PhysAddr {
-        self.vm.translate(va).expect("accessed page must be mapped")
-    }
-
     /// Translates a demand reference for `cpu`, faulting the page in on
-    /// first touch. The common case — the page is mapped and its VPN sits
-    /// in the CPU's [`TransCache`] — skips both `ensure_mapped` and the
-    /// page-table walk entirely; since a cached translation is invalidated
-    /// whenever the mapping moves, the result is identical either way.
+    /// first touch.
     #[inline]
     fn translate_demand(&mut self, cpu: usize, va: VirtAddr) -> (Vpn, PhysAddr) {
         let vpn = self.geometry.vpn_of(va);
-        if let Some(ppn) = self.tcache[cpu].lookup(vpn.0) {
-            let pa = self
-                .geometry
-                .phys_addr(Ppn(ppn), self.geometry.offset_of(va));
-            return (vpn, pa);
-        }
-        self.ensure_mapped(cpu, vpn);
-        let pa = self.translate(va);
-        self.tcache[cpu].insert(vpn.0, self.geometry.ppn_of(pa).0);
+        let ppn = self.ensure_mapped(cpu, vpn);
+        let pa = self.geometry.phys_addr(ppn, self.geometry.offset_of(va));
         (vpn, pa)
     }
 
@@ -432,13 +359,7 @@ impl<Q: Probe> Sim<Q> {
                 // No fault: prefetches to unmapped pages are dropped by the
                 // TLB probe (the page cannot be in the TLB if never
                 // demand-accessed), so pa is never read for them.
-                let vpn = self.geometry.vpn_of(addr);
-                let pa = match self.tcache[cpu].lookup(vpn.0) {
-                    Some(ppn) => self
-                        .geometry
-                        .phys_addr(Ppn(ppn), self.geometry.offset_of(addr)),
-                    None => self.vm.translate(addr).unwrap_or(PhysAddr(0)),
-                };
+                let pa = self.vm.translate(addr).unwrap_or(PhysAddr(0));
                 let out = self
                     .mem
                     .prefetch(cpu, self.clocks[cpu], addr, pa, exclusive);
@@ -622,24 +543,24 @@ fn scaled_cpu_stats(stats: &CpuStats, k: u64) -> CpuStats {
     out
 }
 
-/// Builds the mapping policy for a run. CDPC hints are generated from the
-/// compiled program's access summary with the run's machine parameters —
-/// the paper's stage-2 run-time step.
-fn build_policy(compiled: &CompiledProgram, cfg: &RunConfig) -> Box<dyn MappingPolicy> {
+/// Builds the mapping policy for a run, plus the CDPC hints it installs.
+/// CDPC hints are generated from the compiled program's access summary with
+/// the run's machine parameters — the paper's stage-2 run-time step.
+fn build_policy(
+    compiled: &CompiledProgram,
+    cfg: &RunConfig,
+) -> (Box<dyn MappingPolicy>, Option<ColorHints>) {
     let colors = cfg.color_space();
     match cfg.policy {
         PolicyKind::PageColoring | PolicyKind::DynamicRecolor => {
-            Box::new(PageColoring::new(colors))
+            (Box::new(PageColoring::new(colors)), None)
         }
         PolicyKind::BinHopping => {
             if cfg.mem.num_cpus > 1 && cfg.race_window > 0 {
-                Box::new(BinHopping::with_race_perturbation(
-                    colors,
-                    cfg.race_window,
-                    cfg.seed,
-                ))
+                let policy = BinHopping::with_race_perturbation(colors, cfg.race_window, cfg.seed);
+                (Box::new(policy), None)
             } else {
-                Box::new(BinHopping::new(colors))
+                (Box::new(BinHopping::new(colors)), None)
             }
         }
         PolicyKind::Cdpc | PolicyKind::CdpcTouch => {
@@ -663,7 +584,8 @@ fn build_policy(compiled: &CompiledProgram, cfg: &RunConfig) -> Box<dyn MappingP
                     }
                 }
             }
-            Box::new(CdpcPolicy::new(table, PageColoring::new(colors)))
+            let policy = CdpcPolicy::new(table, PageColoring::new(colors));
+            (Box::new(policy), Some(hints))
         }
     }
 }
@@ -739,7 +661,7 @@ pub fn run_observed<P: Probe>(
             vm.fault(vpn, &mut hog).expect("hog stays below capacity");
         }
     }
-    let policy = build_policy(compiled, cfg);
+    let (policy, hints) = build_policy(compiled, cfg);
     let p = cfg.mem.num_cpus;
 
     let num_colors = colors.num_colors() as usize;
@@ -748,7 +670,6 @@ pub fn run_observed<P: Probe>(
         vm,
         policy,
         clocks: vec![0; p],
-        tcache: (0..p).map(|_| TransCache::new()).collect(),
         dynamic: cfg.policy == PolicyKind::DynamicRecolor,
         conflict_counts: Default::default(),
         color_loads: vec![0; num_colors],
@@ -773,11 +694,11 @@ pub fn run_observed<P: Probe>(
     // order before the computation starts, so the bin-hopping kernel
     // produces the desired colors. (We model the kernel side with the hint
     // table directly — build_policy already returns it — so the touch pass
-    // here only pre-faults the pages, reproducing the serialized-fault
-    // start-up the paper describes.)
+    // here only pre-faults the pages, in coloring order rather than the
+    // table's VPN order, reproducing the serialized-fault start-up the
+    // paper describes.)
     if cfg.policy == PolicyKind::CdpcTouch {
-        let hints = generate_hints_with(&compiled.summary, &cfg.machine_params(), cfg.hint_options)
-            .expect("compiler-produced summaries are always valid");
+        let hints = hints.expect("CDPC policies install hints");
         for &vpn in hints.order() {
             sim.ensure_mapped(0, vpn);
         }
@@ -1132,22 +1053,33 @@ mod tests {
         assert!(dynamic.overheads.kernel >= pc.overheads.kernel);
     }
 
+    /// Every fault consults the hint table once, and the probe sees the
+    /// fallbacks that memory pressure forces.
     #[test]
     fn memory_pressure_forces_hint_fallbacks() {
         let opts = CompileOptions::new(2).with_l2_cache(32 << 10);
         let compiled = compile(&two_array_program(), &opts).unwrap();
+        let observe = |cfg: &RunConfig| {
+            let mut probe = cdpc_obs::CountingProbe::default();
+            let (report, _) = run_observed(&compiled, cfg, &mut probe, None);
+            assert_eq!(probe.hint_lookups, probe.page_faults);
+            (report, probe)
+        };
         let mut cfg = RunConfig::new(small_mem(2), PolicyKind::Cdpc);
         cfg.phys_slack = 4.0;
         cfg.hog_fraction = 0.6;
-        let pressured = run(&compiled, &cfg);
+        let (pressured, probe) = observe(&cfg);
         assert!(
             pressured.fault_stats.fallback > 0,
             "hogged colors must force fallbacks"
         );
         assert!(pressured.fault_stats.honor_rate() < 1.0);
+        assert!(probe.faults_honored < probe.page_faults);
         // Unpressured baseline honors everything.
-        let free = run_with(PolicyKind::Cdpc, 2);
+        cfg.hog_fraction = 0.0;
+        let (free, probe) = observe(&cfg);
         assert_eq!(free.fault_stats.honor_rate(), 1.0);
+        assert_eq!(probe.faults_honored, probe.page_faults);
     }
 
     #[test]

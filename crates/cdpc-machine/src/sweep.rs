@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cdpc_compiler::CompiledProgram;
 use cdpc_obs::SweepCacheStats;
@@ -53,10 +53,16 @@ impl SweepJob {
 }
 
 /// The host's available parallelism (the default for `--threads`).
+///
+/// Asked of the OS once per process: the query reads the affinity mask
+/// and cgroup files, tens of microseconds per call.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `f` over every job on up to `threads` worker threads and returns

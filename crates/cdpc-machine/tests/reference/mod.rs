@@ -7,8 +7,10 @@
 //!
 //! * **Scheduling** — one binary-heap pop and push per op (the optimized
 //!   loop pops once per batch).
-//! * **Translation** — every reference walks the page table (no per-CPU
-//!   translation cache).
+//! * **Translation** — every reference checks that its page is mapped,
+//!   faults it in if not, then translates the full virtual address (the
+//!   optimized loop translates the page number once and reuses the
+//!   fault's frame).
 //! * **Caches** — each set is a `Vec` of lines in recency order, most
 //!   recent first: a hit moves the line to the front, a fill pushes to the
 //!   front and drops the back (no stamps, no aux-tagged ways, no

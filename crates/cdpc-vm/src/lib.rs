@@ -31,17 +31,17 @@
 //!
 //! ```
 //! use cdpc_vm::addr::{ColorSpace, PageGeometry, Vpn};
-//! use cdpc_vm::policy::{MappingPolicy, PageColoring};
-//! use cdpc_vm::AddressSpace;
+//! use cdpc_vm::policy::PageColoring;
+//! use cdpc_vm::{AddressSpace, FaultOutcome};
 //!
 //! // 1 MB direct-mapped cache, 4 KB pages => 256 colors.
 //! let colors = ColorSpace::new(1 << 20, 4096, 1);
 //! assert_eq!(colors.num_colors(), 256);
 //!
 //! let mut vm = AddressSpace::new(PageGeometry::new(4096), 1024, colors);
-//! let mut policy = PageColoring::new(colors);
-//! let ppn = vm.fault(Vpn(7), &mut policy)?;
-//! assert_eq!(colors.color_of_ppn(ppn), policy.preferred_color(Vpn(7)).unwrap());
+//! let fault = vm.fault(Vpn(7), &mut PageColoring::new(colors))?;
+//! assert_eq!(fault.color, colors.color_of_vpn(Vpn(7)));
+//! assert_eq!(fault.outcome, FaultOutcome::Honored);
 //! # Ok::<(), cdpc_vm::VmError>(())
 //! ```
 
@@ -58,7 +58,7 @@ mod error;
 pub use error::VmError;
 pub use region::{Region, RegionMap};
 
-use addr::{ColorSpace, PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
+use addr::{Color, ColorSpace, PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
 use pagetable::PageTable;
 use phys::PhysicalMemory;
 use policy::MappingPolicy;
@@ -93,6 +93,21 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
+    fn record(&mut self, outcome: FaultOutcome) {
+        self.faults += 1;
+        match outcome {
+            FaultOutcome::NoPreference => {}
+            FaultOutcome::Honored => {
+                self.preferred += 1;
+                self.honored += 1;
+            }
+            FaultOutcome::Fallback => {
+                self.preferred += 1;
+                self.fallback += 1;
+            }
+        }
+    }
+
     /// Fraction of color-preferring faults that were honored, or 1.0 when no
     /// fault expressed a preference.
     pub fn honor_rate(&self) -> f64 {
@@ -102,6 +117,32 @@ impl FaultStats {
             self.honored as f64 / self.preferred as f64
         }
     }
+}
+
+/// How a fault's color preference fared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultOutcome {
+    /// The policy expressed no color preference.
+    NoPreference,
+    /// The preferred color was honored exactly.
+    Honored,
+    /// Memory pressure forced a different color.
+    Fallback,
+}
+
+/// What one page fault did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fault {
+    /// The physical page now backing the faulting virtual page.
+    pub ppn: Ppn,
+    /// That page's color.
+    pub color: Color,
+    /// Whether the policy's preferred color was honored, fell back to
+    /// another color under memory pressure, or was absent.
+    pub outcome: FaultOutcome,
+    /// For a hint-table policy, whether the table held a color for the
+    /// page; `None` for policies without a table.
+    pub hint_hit: Option<bool>,
 }
 
 impl AddressSpace {
@@ -135,6 +176,7 @@ impl AddressSpace {
     }
 
     /// Translates a virtual address, returning `None` if the page is unmapped.
+    #[inline]
     pub fn translate(&self, va: VirtAddr) -> Option<PhysAddr> {
         let vpn = self.geometry.vpn_of(va);
         let offset = self.geometry.offset_of(va);
@@ -144,6 +186,7 @@ impl AddressSpace {
     }
 
     /// Translates a virtual page number, returning `None` if unmapped.
+    #[inline]
     pub fn translate_page(&self, vpn: Vpn) -> Option<Ppn> {
         self.page_table.lookup(vpn)
     }
@@ -154,7 +197,7 @@ impl AddressSpace {
     }
 
     /// Serves a page fault on `vpn` using `policy` to pick the preferred
-    /// color.
+    /// color, and reports what it did.
     ///
     /// The preference is a *hint*: when no page of that color is free the
     /// allocator falls back to the nearest color with free pages, exactly as
@@ -168,39 +211,29 @@ impl AddressSpace {
         &mut self,
         vpn: Vpn,
         policy: &mut P,
-    ) -> Result<Ppn, VmError> {
+    ) -> Result<Fault, VmError> {
         if self.page_table.lookup(vpn).is_some() {
             return Err(VmError::AlreadyMapped(vpn));
         }
-        self.stats.faults += 1;
-        let preferred = policy.preferred_color(vpn);
-        let ppn = match preferred {
-            Some(color) => {
-                self.stats.preferred += 1;
-                let ppn = self.phys.alloc_preferring(color)?;
-                if self.colors.color_of_ppn(ppn) == color {
-                    self.stats.honored += 1;
-                } else {
-                    self.stats.fallback += 1;
-                }
-                ppn
-            }
+        let preference = policy.preferred_color(vpn);
+        let ppn = match preference.color {
+            Some(color) => self.phys.alloc_preferring(color)?,
             None => self.phys.alloc_any()?,
         };
         self.page_table.map(vpn, ppn)?;
-        policy.note_mapped(vpn, self.colors.color_of_ppn(ppn));
-        Ok(ppn)
-    }
-
-    /// Unmaps a virtual page and returns its physical page to the free pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::NotMapped`] if the page was not mapped.
-    pub fn unmap(&mut self, vpn: Vpn) -> Result<Ppn, VmError> {
-        let ppn = self.page_table.unmap(vpn)?;
-        self.phys.free(ppn);
-        Ok(ppn)
+        let color = self.colors.color_of_ppn(ppn);
+        let outcome = match preference.color {
+            None => FaultOutcome::NoPreference,
+            Some(wanted) if wanted == color => FaultOutcome::Honored,
+            Some(_) => FaultOutcome::Fallback,
+        };
+        self.stats.record(outcome);
+        Ok(Fault {
+            ppn,
+            color,
+            outcome,
+            hint_hit: preference.hint_hit,
+        })
     }
 
     /// Recolors a mapped page: allocates a new physical page preferring
@@ -216,7 +249,7 @@ impl AddressSpace {
     /// Returns [`VmError::NotMapped`] if `vpn` has no mapping, or
     /// [`VmError::OutOfMemory`] when no replacement page exists (the
     /// original mapping is left untouched in that case).
-    pub fn recolor(&mut self, vpn: Vpn, color: addr::Color) -> Result<(Ppn, Ppn), VmError> {
+    pub fn recolor(&mut self, vpn: Vpn, color: Color) -> Result<(Ppn, Ppn), VmError> {
         let old = self.page_table.lookup(vpn).ok_or(VmError::NotMapped(vpn))?;
         let new = self.phys.alloc_preferring(color)?;
         self.page_table.unmap(vpn).expect("checked above");
@@ -247,27 +280,10 @@ impl AddressSpace {
     }
 
     /// The color of the physical page backing `vpn`, if mapped.
-    pub fn color_of(&self, vpn: Vpn) -> Option<addr::Color> {
+    pub fn color_of(&self, vpn: Vpn) -> Option<Color> {
         self.page_table
             .lookup(vpn)
             .map(|ppn| self.colors.color_of_ppn(ppn))
-    }
-
-    /// Number of currently mapped virtual pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.page_table.iter().count()
-    }
-
-    /// How many mapped pages are backed by each color — the mapping's
-    /// color balance, one bucket per color. A skewed histogram is the
-    /// visible signature of a hostile mapping (many same-colored pages →
-    /// cache conflicts).
-    pub fn color_histogram(&self) -> Vec<u64> {
-        let mut hist = vec![0u64; self.colors.num_colors() as usize];
-        for (_, ppn) in self.page_table.iter() {
-            hist[self.colors.color_of_ppn(ppn).0 as usize] += 1;
-        }
-        hist
     }
 }
 
@@ -286,7 +302,7 @@ mod tests {
     #[test]
     fn fault_maps_page_and_honors_color() {
         let (mut vm, mut policy) = space();
-        let ppn = vm.fault(Vpn(3), &mut policy).unwrap();
+        let ppn = vm.fault(Vpn(3), &mut policy).unwrap().ppn;
         assert_eq!(vm.translate_page(Vpn(3)), Some(ppn));
         assert_eq!(vm.color_of(Vpn(3)).unwrap().0, 3);
         assert_eq!(vm.stats().honored, 1);
@@ -305,20 +321,9 @@ mod tests {
     #[test]
     fn translate_combines_page_and_offset() {
         let (mut vm, mut policy) = space();
-        let ppn = vm.fault(Vpn(2), &mut policy).unwrap();
+        let ppn = vm.fault(Vpn(2), &mut policy).unwrap().ppn;
         let va = VirtAddr(2 * 4096 + 123);
         assert_eq!(vm.translate(va), Some(PhysAddr(ppn.0 * 4096 + 123)));
-    }
-
-    #[test]
-    fn unmap_frees_the_page() {
-        let (mut vm, mut policy) = space();
-        let free0 = vm.free_pages();
-        vm.fault(Vpn(9), &mut policy).unwrap();
-        assert_eq!(vm.free_pages(), free0 - 1);
-        vm.unmap(Vpn(9)).unwrap();
-        assert_eq!(vm.free_pages(), free0);
-        assert!(!vm.is_mapped(Vpn(9)));
     }
 
     #[test]
@@ -327,7 +332,7 @@ mod tests {
         // color 0 must fall back to color 1.
         let colors = ColorSpace::new(2 * 4096, 4096, 1);
         let mut vm = AddressSpace::new(PageGeometry::new(4096), 4, colors);
-        let mut policy = policy::FixedColor::new(addr::Color(0));
+        let mut policy = policy::FixedColor::new(Color(0));
         for i in 0..4 {
             vm.fault(Vpn(i), &mut policy).unwrap();
         }
@@ -336,6 +341,55 @@ mod tests {
         assert_eq!(stats.honored, 2);
         assert_eq!(stats.fallback, 2);
         assert_eq!(vm.fault(Vpn(99), &mut policy), Err(VmError::OutOfMemory));
+    }
+
+    /// Each fault's returned outcome is the change it made to
+    /// [`FaultStats`], and a hint-table policy reports the lookup's hit.
+    #[test]
+    fn fault_outcome_matches_the_stats_delta() {
+        // 6 pages, 2 colors. Pages 0..4 are hinted color 0, so the fourth
+        // of them finds color 0 exhausted and falls back.
+        let colors = ColorSpace::new(2 * 4096, 4096, 1);
+        let mut vm = AddressSpace::new(PageGeometry::new(4096), 6, colors);
+        let hints = (0..4).map(|v| (Vpn(v), Color(0))).collect();
+        let mut cdpc = policy::CdpcPolicy::new(hints, PageColoring::new(colors));
+        let mut check = |vpn, policy: &mut dyn MappingPolicy| {
+            let before = vm.stats();
+            let fault = vm.fault(Vpn(vpn), policy).unwrap();
+            let after = vm.stats();
+            assert_eq!(vm.translate_page(Vpn(vpn)), Some(fault.ppn));
+            assert_eq!(colors.color_of_ppn(fault.ppn), fault.color);
+            assert_eq!(after.faults - before.faults, 1);
+            let honored = after.honored - before.honored;
+            let fallback = after.fallback - before.fallback;
+            assert_eq!(after.preferred - before.preferred, honored + fallback);
+            let expected = match (honored, fallback) {
+                (1, 0) => FaultOutcome::Honored,
+                (0, 1) => FaultOutcome::Fallback,
+                (0, 0) => FaultOutcome::NoPreference,
+                other => panic!("one fault moved (honored, fallback) by {other:?}"),
+            };
+            assert_eq!(fault.outcome, expected);
+            fault
+        };
+        let f = check(0, &mut cdpc);
+        assert_eq!((f.outcome, f.hint_hit), (FaultOutcome::Honored, Some(true)));
+        check(1, &mut cdpc);
+        check(2, &mut cdpc);
+        let f = check(3, &mut cdpc);
+        assert_eq!(
+            (f.outcome, f.hint_hit),
+            (FaultOutcome::Fallback, Some(true))
+        );
+        assert_eq!(f.color, Color(1));
+        // Page 5 has no hint: page coloring wants color 1, still free.
+        let f = check(5, &mut cdpc);
+        assert_eq!(
+            (f.outcome, f.hint_hit),
+            (FaultOutcome::Honored, Some(false))
+        );
+        let f = check(9, &mut policy::NoPreference);
+        assert_eq!((f.outcome, f.hint_hit), (FaultOutcome::NoPreference, None));
     }
 
     #[test]
@@ -348,26 +402,12 @@ mod tests {
     }
 
     #[test]
-    fn color_histogram_counts_backing_colors() {
-        let (mut vm, mut policy) = space();
-        assert_eq!(vm.mapped_pages(), 0);
-        vm.fault(Vpn(0), &mut policy).unwrap(); // color 0
-        vm.fault(Vpn(1), &mut policy).unwrap(); // color 1
-        vm.fault(Vpn(16), &mut policy).unwrap(); // wraps to color 0
-        let hist = vm.color_histogram();
-        assert_eq!(hist.len(), 16);
-        assert_eq!(hist[0], 2);
-        assert_eq!(hist[1], 1);
-        assert_eq!(hist.iter().sum::<u64>(), vm.mapped_pages() as u64);
-    }
-
-    #[test]
     fn recolor_moves_page_to_new_color() {
         let (mut vm, mut policy) = space();
         vm.fault(Vpn(3), &mut policy).unwrap(); // color 3 under page coloring
-        let (old, new) = vm.recolor(Vpn(3), addr::Color(9)).unwrap();
+        let (old, new) = vm.recolor(Vpn(3), Color(9)).unwrap();
         assert_ne!(old, new);
-        assert_eq!(vm.color_of(Vpn(3)), Some(addr::Color(9)));
+        assert_eq!(vm.color_of(Vpn(3)), Some(Color(9)));
         // The old frame is reusable.
         let free_before = vm.free_pages();
         vm.fault(Vpn(40), &mut policy).unwrap();
@@ -378,7 +418,7 @@ mod tests {
     fn recolor_of_unmapped_page_fails() {
         let (mut vm, _) = space();
         assert_eq!(
-            vm.recolor(Vpn(5), addr::Color(1)),
+            vm.recolor(Vpn(5), Color(1)),
             Err(VmError::NotMapped(Vpn(5)))
         );
     }
@@ -393,10 +433,7 @@ mod tests {
         vm.fault(Vpn(0), &mut policy).unwrap();
         vm.fault(Vpn(1), &mut policy).unwrap();
         let before = vm.translate_page(Vpn(0)).unwrap();
-        assert_eq!(
-            vm.recolor(Vpn(0), addr::Color(1)),
-            Err(VmError::OutOfMemory)
-        );
+        assert_eq!(vm.recolor(Vpn(0), Color(1)), Err(VmError::OutOfMemory));
         assert_eq!(vm.translate_page(Vpn(0)), Some(before));
     }
 }

@@ -22,31 +22,35 @@
 use crate::addr::{Color, ColorSpace, Vpn};
 use crate::hint_table::HintTable;
 
+/// A policy's answer at one page fault.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Preference {
+    /// The color the policy would like the page to have, or `None` to let
+    /// the allocator pick freely.
+    pub color: Option<Color>,
+    /// `Some(hit)` when the policy consulted a hint table, `hit` meaning
+    /// the table held a color for the page; `None` for policies without a
+    /// table.
+    pub hint_hit: Option<bool>,
+}
+
+impl Preference {
+    /// A preference for `color` from a policy without a hint table.
+    pub fn of(color: Color) -> Self {
+        Self {
+            color: Some(color),
+            hint_hit: None,
+        }
+    }
+}
+
 /// A page-mapping policy: maps page-fault events to preferred page colors.
 ///
 /// Implementations may keep internal state (bin hopping's cursor) which is
 /// why `preferred_color` takes `&mut self`.
 pub trait MappingPolicy {
-    /// The color this policy would like the page backing `vpn` to have, or
-    /// `None` to let the allocator pick freely.
-    fn preferred_color(&mut self, vpn: Vpn) -> Option<Color>;
-
-    /// Invoked by the address space after the fault completes with the color
-    /// that was actually obtained. The default implementation ignores it.
-    fn note_mapped(&mut self, vpn: Vpn, actual: Color) {
-        let _ = (vpn, actual);
-    }
-
-    /// A short human-readable policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// `(lookups, hits)` of the policy's hint table, if it has one.
-    /// Policies without a hint table (everything except [`CdpcPolicy`])
-    /// return `None`. Lets observers meter hint-table traffic through a
-    /// `dyn MappingPolicy` without downcasting.
-    fn hint_lookup_stats(&self) -> Option<(u64, u64)> {
-        None
-    }
+    /// What this policy wants for the page backing `vpn`.
+    fn preferred_color(&mut self, vpn: Vpn) -> Preference;
 }
 
 /// IRIX-style page coloring: `color = vpn mod num_colors`.
@@ -63,12 +67,8 @@ impl PageColoring {
 }
 
 impl MappingPolicy for PageColoring {
-    fn preferred_color(&mut self, vpn: Vpn) -> Option<Color> {
-        Some(self.colors.color_of_vpn(vpn))
-    }
-
-    fn name(&self) -> &'static str {
-        "page-coloring"
+    fn preferred_color(&mut self, vpn: Vpn) -> Preference {
+        Preference::of(self.colors.color_of_vpn(vpn))
     }
 }
 
@@ -110,11 +110,6 @@ impl BinHopping {
         }
     }
 
-    /// The color the *next* fault will be offered (before perturbation).
-    pub fn cursor(&self) -> Color {
-        self.next
-    }
-
     fn next_perturbation(&mut self) -> u32 {
         if self.race_window == 0 {
             return 0;
@@ -130,15 +125,11 @@ impl BinHopping {
 }
 
 impl MappingPolicy for BinHopping {
-    fn preferred_color(&mut self, _vpn: Vpn) -> Option<Color> {
+    fn preferred_color(&mut self, _vpn: Vpn) -> Preference {
         let skip = self.next_perturbation();
         let offered = self.colors.advance(self.next, skip);
         self.next = self.colors.advance(self.next, 1);
-        Some(offered)
-    }
-
-    fn name(&self) -> &'static str {
-        "bin-hopping"
+        Preference::of(offered)
     }
 }
 
@@ -158,32 +149,20 @@ impl<P: MappingPolicy> CdpcPolicy<P> {
     pub fn new(hints: HintTable, base: P) -> Self {
         Self { hints, base }
     }
-
-    /// Read access to the installed hints.
-    pub fn hints(&self) -> &HintTable {
-        &self.hints
-    }
-
-    /// The fallback policy.
-    pub fn base(&self) -> &P {
-        &self.base
-    }
 }
 
 impl<P: MappingPolicy> MappingPolicy for CdpcPolicy<P> {
-    fn preferred_color(&mut self, vpn: Vpn) -> Option<Color> {
+    fn preferred_color(&mut self, vpn: Vpn) -> Preference {
         match self.hints.lookup(vpn) {
-            Some(color) => Some(color),
-            None => self.base.preferred_color(vpn),
+            Some(color) => Preference {
+                color: Some(color),
+                hint_hit: Some(true),
+            },
+            None => Preference {
+                hint_hit: Some(false),
+                ..self.base.preferred_color(vpn)
+            },
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "cdpc"
-    }
-
-    fn hint_lookup_stats(&self) -> Option<(u64, u64)> {
-        Some(self.hints.lookup_stats())
     }
 }
 
@@ -193,12 +172,8 @@ impl<P: MappingPolicy> MappingPolicy for CdpcPolicy<P> {
 pub struct NoPreference;
 
 impl MappingPolicy for NoPreference {
-    fn preferred_color(&mut self, _vpn: Vpn) -> Option<Color> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "no-preference"
+    fn preferred_color(&mut self, _vpn: Vpn) -> Preference {
+        Preference::default()
     }
 }
 
@@ -217,30 +192,14 @@ impl FixedColor {
 }
 
 impl MappingPolicy for FixedColor {
-    fn preferred_color(&mut self, _vpn: Vpn) -> Option<Color> {
-        Some(self.color)
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-color"
+    fn preferred_color(&mut self, _vpn: Vpn) -> Preference {
+        Preference::of(self.color)
     }
 }
 
 impl<P: MappingPolicy + ?Sized> MappingPolicy for Box<P> {
-    fn preferred_color(&mut self, vpn: Vpn) -> Option<Color> {
+    fn preferred_color(&mut self, vpn: Vpn) -> Preference {
         (**self).preferred_color(vpn)
-    }
-
-    fn note_mapped(&mut self, vpn: Vpn, actual: Color) {
-        (**self).note_mapped(vpn, actual);
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn hint_lookup_stats(&self) -> Option<(u64, u64)> {
-        (**self).hint_lookup_stats()
     }
 }
 
@@ -255,9 +214,9 @@ mod tests {
     #[test]
     fn page_coloring_follows_vpn() {
         let mut p = PageColoring::new(colors());
-        assert_eq!(p.preferred_color(Vpn(0)), Some(Color(0)));
-        assert_eq!(p.preferred_color(Vpn(9)), Some(Color(1)));
-        assert_eq!(p.preferred_color(Vpn(15)), Some(Color(7)));
+        assert_eq!(p.preferred_color(Vpn(0)), Preference::of(Color(0)));
+        assert_eq!(p.preferred_color(Vpn(9)), Preference::of(Color(1)));
+        assert_eq!(p.preferred_color(Vpn(15)), Preference::of(Color(7)));
     }
 
     #[test]
@@ -265,7 +224,7 @@ mod tests {
         let mut p = BinHopping::new(colors());
         // The virtual page number is irrelevant; only fault order matters.
         let seq: Vec<u32> = (0..10)
-            .map(|i| p.preferred_color(Vpn(100 - i)).unwrap().0)
+            .map(|i| p.preferred_color(Vpn(100 - i)).color.unwrap().0)
             .collect();
         assert_eq!(seq, vec![0, 1, 2, 3, 4, 5, 6, 7, 0, 1]);
     }
@@ -275,7 +234,7 @@ mod tests {
         let mut p = BinHopping::with_race_perturbation(colors(), 3, 42);
         let mut deviated = false;
         for i in 0..64u32 {
-            let offered = p.preferred_color(Vpn(i as u64)).unwrap();
+            let offered = p.preferred_color(Vpn(i as u64)).color.unwrap();
             let base = Color(i % 8);
             let skip = colors().distance(base, offered);
             assert!(skip <= 3, "perturbation {skip} exceeds window");
@@ -289,7 +248,7 @@ mod tests {
         let run = |seed| {
             let mut p = BinHopping::with_race_perturbation(colors(), 3, seed);
             (0..32)
-                .map(|i| p.preferred_color(Vpn(i)).unwrap().0)
+                .map(|i| p.preferred_color(Vpn(i)).color.unwrap().0)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
@@ -301,21 +260,21 @@ mod tests {
         let mut hints = HintTable::new();
         hints.advise(Vpn(5), Color(3));
         let mut p = CdpcPolicy::new(hints, PageColoring::new(colors()));
-        assert_eq!(p.preferred_color(Vpn(5)), Some(Color(3)));
-        // Unhinted page: defer to page coloring.
-        assert_eq!(p.preferred_color(Vpn(9)), Some(Color(1)));
-        assert_eq!(p.name(), "cdpc");
+        let hit = p.preferred_color(Vpn(5));
+        assert_eq!((hit.color, hit.hint_hit), (Some(Color(3)), Some(true)));
+        // Unhinted page: defer to page coloring, and report the miss.
+        let miss = p.preferred_color(Vpn(9));
+        assert_eq!((miss.color, miss.hint_hit), (Some(Color(1)), Some(false)));
     }
 
     #[test]
     fn boxed_policy_is_usable_as_trait_object() {
         let mut p: Box<dyn MappingPolicy> = Box::new(PageColoring::new(colors()));
-        assert_eq!(p.preferred_color(Vpn(2)), Some(Color(2)));
-        assert_eq!(p.name(), "page-coloring");
+        assert_eq!(p.preferred_color(Vpn(2)), Preference::of(Color(2)));
     }
 
     #[test]
     fn no_preference_declines() {
-        assert_eq!(NoPreference.preferred_color(Vpn(1)), None);
+        assert_eq!(NoPreference.preferred_color(Vpn(1)), Preference::default());
     }
 }

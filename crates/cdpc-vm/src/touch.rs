@@ -166,7 +166,7 @@ mod tests {
         let mut bh = BinHopping::new(cs());
         let mut got = std::collections::BTreeMap::new();
         for vpn in order {
-            got.insert(vpn, bh.preferred_color(vpn).unwrap());
+            got.insert(vpn, bh.preferred_color(vpn).color.unwrap());
         }
         for (vpn, want) in a {
             assert_eq!(got[&vpn], want, "page {vpn} got the wrong color");
@@ -184,11 +184,11 @@ mod tests {
         assert_eq!(burns, 1);
         let mut bh = BinHopping::new(cs());
         for _ in 0..burns {
-            bh.preferred_color(Vpn(u64::MAX)).unwrap(); // dummy page
+            bh.preferred_color(Vpn(u64::MAX)).color.unwrap(); // dummy page
         }
         let mut got = std::collections::BTreeMap::new();
         for vpn in order {
-            got.insert(vpn, bh.preferred_color(vpn).unwrap());
+            got.insert(vpn, bh.preferred_color(vpn).color.unwrap());
         }
         for (vpn, want) in a {
             assert_eq!(got[&vpn], want, "page {vpn} got the wrong color");

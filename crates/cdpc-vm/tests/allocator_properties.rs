@@ -136,7 +136,7 @@ fn bin_hopping_is_address_blind() {
         let colors_of = |vpns: &[u64]| {
             let mut p = BinHopping::new(colors);
             vpns.iter()
-                .map(|&v| p.preferred_color(Vpn(v)).unwrap())
+                .map(|&v| p.preferred_color(Vpn(v)).color.unwrap())
                 .collect::<Vec<_>>()
         };
         assert_eq!(colors_of(&unique_a), colors_of(&vpns_b), "seed {seed}");

@@ -208,7 +208,7 @@ fn bin_hopping_balances_any_fault_count() {
         let mut policy = BinHopping::new(colors);
         let mut load = [0u64; 16];
         for i in 0..faults {
-            let c = policy.preferred_color(Vpn(i * 7919)).unwrap();
+            let c = policy.preferred_color(Vpn(i * 7919)).color.unwrap();
             load[c.0 as usize] += 1;
         }
         let (lo, hi) = (load.iter().min().unwrap(), load.iter().max().unwrap());
