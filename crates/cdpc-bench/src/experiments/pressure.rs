@@ -68,9 +68,10 @@ pub(super) fn run(setup: &Setup) -> Plan<'_> {
         );
         writeln!(
             out,
-            "\nHints degrade gracefully: the allocator falls back to the circularly\n\
-         nearest free color, so even when most low-half colors are hogged,\n\
-         CDPC stays ahead of the page-coloring baseline."
+            "\nThe honor rate counts the program's faults, not the co-resident job's.\n\
+         The allocator falls back to the circularly nearest free color, so CDPC\n\
+         stays ahead of the page-coloring baseline, but its lead shrinks roughly\n\
+         in step with the honor rate."
         );
         Output::text(out)
     })

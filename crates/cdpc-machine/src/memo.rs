@@ -43,7 +43,7 @@ use crate::run::{PolicyKind, RunConfig};
 /// construction, the canonicalization rules, or the simulator's observable
 /// behavior changes — entries under other versions live in sibling
 /// directories and are simply never read.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+pub const CACHE_FORMAT_VERSION: u32 = 4;
 
 /// The content identity of one simulation run: program content, program
 /// name, and canonical config. Equal keys mean equal reports; the key is

@@ -660,6 +660,8 @@ pub fn run_observed<P: Probe>(
             let vpn = Vpn(u64::MAX / 2 + i as u64);
             vm.fault(vpn, &mut hog).expect("hog stays below capacity");
         }
+        // The report's fault statistics are the program's own.
+        vm.reset_stats();
     }
     let (policy, hints) = build_policy(compiled, cfg);
     let p = cfg.mem.num_cpus;
@@ -1053,8 +1055,9 @@ mod tests {
         assert!(dynamic.overheads.kernel >= pc.overheads.kernel);
     }
 
-    /// Every fault consults the hint table once, and the probe sees the
-    /// fallbacks that memory pressure forces.
+    /// Every fault consults the hint table once, the probe sees the
+    /// fallbacks that memory pressure forces, and the report counts the
+    /// program's faults, not the co-resident job's.
     #[test]
     fn memory_pressure_forces_hint_fallbacks() {
         let opts = CompileOptions::new(2).with_l2_cache(32 << 10);
@@ -1075,6 +1078,8 @@ mod tests {
         );
         assert!(pressured.fault_stats.honor_rate() < 1.0);
         assert!(probe.faults_honored < probe.page_faults);
+        assert_eq!(pressured.fault_stats.faults, probe.page_faults);
+        assert_eq!(pressured.fault_stats.honored, probe.faults_honored);
         // Unpressured baseline honors everything.
         cfg.hog_fraction = 0.0;
         let (free, probe) = observe(&cfg);

@@ -92,7 +92,7 @@ mod tests {
         let mut p = AttributionProbe::new(2, 8, 2, 1);
         p.on_phase_start(0, 1);
         for &(array, color) in cells {
-            p.on_classified_miss(0, 0x1000, array, color, MissClassId::Conflict, 50);
+            p.on_classified_miss(0, 0x1000, MissClassId::Conflict, 50, || (array, color));
         }
         p.on_phase_end(0, 0x2000);
         p

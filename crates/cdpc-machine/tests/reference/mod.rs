@@ -42,7 +42,7 @@ use cdpc_machine::{
 use cdpc_memsim::{CacheConfig, CpuStats, MemConfig, MemStats, MissClass};
 use cdpc_vm::addr::{Color, ColorSpace, PageGeometry, PhysAddr, VirtAddr, Vpn};
 use cdpc_vm::policy::{BinHopping, CdpcPolicy, FixedColor, MappingPolicy, PageColoring};
-use cdpc_vm::AddressSpace;
+use cdpc_vm::{AddressSpace, FaultStats};
 
 /// MESI state of a cached line (`Invalid` lines are simply absent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1048,6 +1048,8 @@ pub fn run(compiled: &CompiledProgram, cfg: &RunConfig) -> RunReport {
                 .expect("hog fits");
         }
     }
+    // The co-resident job's faults are not the program's.
+    let hog_faults = vm.stats();
 
     let mut m = Machine {
         cfg: cfg.clone(),
@@ -1163,7 +1165,13 @@ pub fn run(compiled: &CompiledProgram, cfg: &RunConfig) -> RunReport {
     if report.elapsed_cycles > 0 {
         bus.utilization = (busy as f64 / report.elapsed_cycles as f64).min(1.0);
     }
-    report.fault_stats = m.vm.stats();
+    let all = m.vm.stats();
+    report.fault_stats = FaultStats {
+        faults: all.faults - hog_faults.faults,
+        preferred: all.preferred - hog_faults.preferred,
+        honored: all.honored - hog_faults.honored,
+        fallback: all.fallback - hog_faults.fallback,
+    };
     report.recolorings = m.recolorings;
     report.simulated_refs = m.mem.refs;
     report

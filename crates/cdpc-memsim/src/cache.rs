@@ -6,6 +6,22 @@
 //! maintained at the L2 level and pushed down as invalidations) and as the
 //! physically-indexed L2s, where the MESI state participates in bus
 //! snooping.
+//!
+//! ## Layout
+//!
+//! A way is one `u64`: the tag in the low [`TAG_BITS`] bits, and above it
+//! the two MESI bits, the prefetched mark and the valid bit. A probe
+//! compares the valid bit and the tag in one masked compare.
+//!
+//! Each set keeps its ways in recency order, most recent first. A hit
+//! rotates its way to the front; a fill takes the set's first invalid way,
+//! or else its last (least recently used) one, and rotates it to the front.
+//! LRU replacement therefore needs no timestamps and no victim scan.
+//!
+//! The caller-supplied `aux` tags ([`Cache::fill_tagged`]) live in a
+//! vector parallel to the ways, which only a cache built with
+//! [`Cache::with_aux`] allocates: the memory system's L2s keep there the
+//! virtual address that L1 inclusion needs, and its L1s allocate none.
 
 use crate::config::CacheConfig;
 
@@ -37,36 +53,31 @@ impl Mesi {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    state: Mesi,
-    /// LRU timestamp; larger = more recent.
-    stamp: u64,
-    valid: bool,
-    /// Set when a prefetch filled the line and no demand probe has hit it
-    /// since (see [`Cache::mark_prefetched`]).
-    prefetched: bool,
-    /// Caller-supplied tag carried with the line and returned on eviction
-    /// or invalidation. The memory system keeps an L2 line's virtual
-    /// address here, so inclusion needs no physical → virtual map; the L1s
-    /// leave it zero.
-    aux: u64,
-}
+/// Low bits of a way that hold the tag.
+const TAG_BITS: u32 = 60;
+const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
+/// The line's [`Mesi`] state, as its discriminant.
+const STATE_SHIFT: u32 = TAG_BITS;
+const STATE_MASK: u64 = 0b11 << STATE_SHIFT;
+/// Set when a prefetch filled the line and no demand probe has hit it
+/// since (see [`Cache::mark_prefetched`]).
+const PREFETCHED: u64 = 1 << 62;
+const VALID: u64 = 1 << 63;
+/// The bits a probe compares: a way holds a line iff
+/// `way & KEY == VALID | tag`.
+const KEY: u64 = VALID | TAG_MASK;
 
-impl Way {
-    const EMPTY: Way = Way {
-        tag: 0,
-        state: Mesi::Exclusive,
-        stamp: 0,
-        valid: false,
-        prefetched: false,
-        aux: 0,
-    };
-}
+// The four fields tile the word, and every state fits its two bits.
+const _: () = assert!(TAG_MASK ^ STATE_MASK ^ PREFETCHED ^ VALID == u64::MAX);
+const _: () = assert!((Mesi::Shared as u64) << STATE_SHIFT & !STATE_MASK == 0);
 
-// The prefetched mark lives in the padding after `state` and `valid`.
-const _: () = assert!(std::mem::size_of::<Way>() == 32);
+/// The state packed in a valid way.
+#[inline]
+fn state_of(way: u64) -> Mesi {
+    // A table, not a `match`, so that decoding takes no branch.
+    const STATES: [Mesi; 4] = [Mesi::Modified, Mesi::Exclusive, Mesi::Shared, Mesi::Shared];
+    STATES[((way & STATE_MASK) >> STATE_SHIFT) as usize]
+}
 
 /// What a lookup found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +110,20 @@ pub struct Evicted {
     /// a victim cache instead of being discarded).
     pub state: Mesi,
     /// The caller-supplied tag stored with the line (zero for lines filled
-    /// through [`Cache::fill`] and never re-tagged).
+    /// through [`Cache::fill`] and never re-tagged, and in a cache without
+    /// `aux` storage).
     pub aux: u64,
+}
+
+/// Moves the last element of `s` to the front, the others back by one.
+#[inline(always)]
+fn shift_to_front(s: &mut [u64]) {
+    let last = s.len() - 1;
+    let moved = s[last];
+    for i in (1..=last).rev() {
+        s[i] = s[i - 1];
+    }
+    s[0] = moved;
 }
 
 /// A set-associative, write-back cache holding line *addresses* (the
@@ -108,18 +131,44 @@ pub struct Evicted {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    ways: Vec<Way>, // num_sets * associativity, set-major
-    clock: u64,
+    /// `num_sets * associativity` packed ways, set-major, each set most
+    /// recently used first.
+    ways: Vec<u64>,
+    /// The `aux` tag of each way, parallel to `ways`; empty for a cache
+    /// built with [`Cache::new`].
+    aux: Vec<u64>,
 }
 
 impl Cache {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry, without `aux`
+    /// storage: every eviction record carries `aux` 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry's widest tag (that of address `u64::MAX`)
+    /// does not fit the way's tag field, that is, if a set stride
+    /// (`line_bytes * num_sets`) is under 16 bytes. Checking once here
+    /// means no probe or fill can truncate a tag into another line's.
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(
+            cfg.tag_of(u64::MAX) <= TAG_MASK,
+            "{} sets of {}-byte lines need tags wider than {TAG_BITS} bits",
+            cfg.num_sets(),
+            cfg.line_bytes()
+        );
         Self {
             cfg,
-            ways: vec![Way::EMPTY; cfg.num_sets() * cfg.associativity()],
-            clock: 0,
+            ways: vec![0; cfg.num_sets() * cfg.associativity()],
+            aux: Vec::new(),
         }
+    }
+
+    /// [`new`](Self::new) with room for an `aux` tag per way, for
+    /// [`fill_tagged`](Self::fill_tagged) and [`set_aux`](Self::set_aux).
+    pub fn with_aux(cfg: CacheConfig) -> Self {
+        let mut cache = Self::new(cfg);
+        cache.aux = vec![0; cache.ways.len()];
+        cache
     }
 
     /// The cache's geometry.
@@ -127,40 +176,52 @@ impl Cache {
         self.cfg
     }
 
-    fn set_slice(&self, set: usize) -> &[Way] {
-        let a = self.cfg.associativity();
-        &self.ways[set * a..(set + 1) * a]
+    /// The index of the first way of `addr`'s set, and the [`KEY`] bits of
+    /// a way holding `addr`.
+    #[inline]
+    fn base_and_key(&self, addr: u64) -> (usize, u64) {
+        let base = self.cfg.set_of(addr) * self.cfg.associativity();
+        (base, VALID | self.cfg.tag_of(addr))
     }
 
-    fn set_slice_mut(&mut self, set: usize) -> &mut [Way] {
-        let a = self.cfg.associativity();
-        &mut self.ways[set * a..(set + 1) * a]
-    }
-
+    /// The index of `addr`'s way, if the line is resident.
     fn find(&self, addr: u64) -> Option<usize> {
-        let set = self.cfg.set_of(addr);
-        let tag = self.cfg.tag_of(addr);
-        let a = self.cfg.associativity();
-        self.set_slice(set)
-            .iter()
-            .position(|w| w.valid && w.tag == tag)
-            .map(|i| set * a + i)
+        let (base, key) = self.base_and_key(addr);
+        let ways = &self.ways[base..base + self.cfg.associativity()];
+        ways.iter().position(|&w| w & KEY == key).map(|p| base + p)
     }
 
-    /// Finds `addr`, updating LRU recency on a hit.
-    fn touch(&mut self, addr: u64) -> Option<&mut Way> {
-        self.clock += 1;
-        let clock = self.clock;
-        let i = self.find(addr)?;
-        let way = &mut self.ways[i];
-        way.stamp = clock;
-        Some(way)
+    /// Moves the way at `base + pos` to the front of its set; the `pos`
+    /// ways before it each move back by one.
+    #[inline(always)]
+    fn promote(&mut self, base: usize, pos: usize) {
+        if pos > 0 {
+            shift_to_front(&mut self.ways[base..=base + pos]);
+            if !self.aux.is_empty() {
+                shift_to_front(&mut self.aux[base..=base + pos]);
+            }
+        }
+    }
+
+    /// Finds `addr` and makes it its set's most recently used way.
+    ///
+    /// The front way is tested on its own first: a hit there, the common
+    /// case, returns with no search and no move.
+    #[inline]
+    fn touch(&mut self, addr: u64) -> Option<&mut u64> {
+        let (base, key) = self.base_and_key(addr);
+        if self.ways[base] & KEY != key {
+            let rest = &self.ways[base + 1..base + self.cfg.associativity()];
+            let pos = 1 + rest.iter().position(|&w| w & KEY == key)?;
+            self.promote(base, pos);
+        }
+        Some(&mut self.ways[base])
     }
 
     /// Looks up `addr`, updating LRU recency on a hit.
     pub fn probe(&mut self, addr: u64) -> Lookup {
         match self.touch(addr) {
-            Some(way) => Lookup::Hit(way.state),
+            Some(&mut way) => Lookup::Hit(state_of(way)),
             None => Lookup::Miss,
         }
     }
@@ -170,7 +231,9 @@ impl Cache {
     /// was set, `None` on a miss.
     pub fn probe_demand(&mut self, addr: u64) -> Option<(Mesi, bool)> {
         let way = self.touch(addr)?;
-        Some((way.state, std::mem::take(&mut way.prefetched)))
+        let prefetched = *way & PREFETCHED != 0;
+        *way &= !PREFETCHED;
+        Some((state_of(*way), prefetched))
     }
 
     /// Marks a resident line as filled by a prefetch (no-op if it is not
@@ -179,7 +242,7 @@ impl Cache {
     /// cache.
     pub fn mark_prefetched(&mut self, addr: u64) {
         if let Some(i) = self.find(addr) {
-            self.ways[i].prefetched = true;
+            self.ways[i] |= PREFETCHED;
         }
     }
 
@@ -187,7 +250,7 @@ impl Cache {
     /// access).
     pub fn peek(&self, addr: u64) -> Lookup {
         match self.find(addr) {
-            Some(i) => Lookup::Hit(self.ways[i].state),
+            Some(i) => Lookup::Hit(state_of(self.ways[i])),
             None => Lookup::Miss,
         }
     }
@@ -205,47 +268,39 @@ impl Cache {
 
     /// [`fill`](Self::fill) with a caller-supplied `aux` tag stored
     /// alongside the line and handed back in the eviction record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `aux` is not 0 and the cache was built without `aux`
+    /// storage ([`Cache::new`]).
     pub fn fill_tagged(&mut self, addr: u64, state: Mesi, aux: u64) -> Option<Evicted> {
         debug_assert!(self.find(addr).is_none(), "fill of resident line {addr:#x}");
-        self.clock += 1;
-        let clock = self.clock;
+        let a = self.cfg.associativity();
         let set = self.cfg.set_of(addr);
-        let tag = self.cfg.tag_of(addr);
-        let line_bytes = self.cfg.line_bytes() as u64;
-        let num_sets = self.cfg.num_sets() as u64;
-        let slice = self.set_slice_mut(set);
-        let victim_idx = match slice.iter().position(|w| !w.valid) {
-            Some(i) => i,
-            None => {
-                // Evict the LRU way.
-                let (i, _) = slice
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.stamp)
-                    .expect("associativity >= 1");
-                i
-            }
-        };
-        let victim = slice[victim_idx];
-        slice[victim_idx] = Way {
-            tag,
-            state,
-            stamp: clock,
-            valid: true,
-            prefetched: false,
-            aux,
-        };
-        if victim.valid {
-            let line_addr = (victim.tag * num_sets + set as u64) * line_bytes;
-            Some(Evicted {
-                line_addr,
-                dirty: victim.state == Mesi::Modified,
-                state: victim.state,
-                aux: victim.aux,
-            })
+        let base = set * a;
+        let pos = self.ways[base..base + a]
+            .iter()
+            .position(|&w| w & VALID == 0)
+            .unwrap_or(a - 1);
+        let filled = VALID | (state as u64) << STATE_SHIFT | self.cfg.tag_of(addr);
+        let victim = std::mem::replace(&mut self.ways[base + pos], filled);
+        let victim_aux = if self.aux.is_empty() {
+            assert_eq!(aux, 0, "aux tag for a cache without aux storage");
+            0
         } else {
-            None
-        }
+            std::mem::replace(&mut self.aux[base + pos], aux)
+        };
+        self.promote(base, pos);
+        (victim & VALID != 0).then(|| {
+            let line = (victim & TAG_MASK) * self.cfg.num_sets() as u64 + set as u64;
+            let state = state_of(victim);
+            Evicted {
+                line_addr: line << self.cfg.line_shift(),
+                dirty: state == Mesi::Modified,
+                state,
+                aux: victim_aux,
+            }
+        })
     }
 
     /// Changes the state of a resident line. Returns `false` if the line is
@@ -253,7 +308,7 @@ impl Cache {
     pub fn set_state(&mut self, addr: u64, state: Mesi) -> bool {
         match self.find(addr) {
             Some(i) => {
-                self.ways[i].state = state;
+                self.ways[i] = self.ways[i] & !STATE_MASK | (state as u64) << STATE_SHIFT;
                 true
             }
             None => false,
@@ -262,11 +317,16 @@ impl Cache {
 
     /// Replaces the `aux` tag of a resident line without touching LRU
     /// state. Returns `false` if the line is not resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is resident and the cache was built without
+    /// `aux` storage ([`Cache::new`]).
     #[inline]
     pub fn set_aux(&mut self, addr: u64, aux: u64) -> bool {
         match self.find(addr) {
             Some(i) => {
-                self.ways[i].aux = aux;
+                self.aux[i] = aux;
                 true
             }
             None => false,
@@ -274,23 +334,24 @@ impl Cache {
     }
 
     /// Invalidates a line if resident, returning its record (state and
-    /// `aux` tag).
+    /// `aux` tag). The way keeps its place in the set's recency order until
+    /// a fill reuses it.
     pub fn invalidate(&mut self, addr: u64) -> Option<Evicted> {
         let i = self.find(addr)?;
-        let way = &mut self.ways[i];
-        way.valid = false;
+        let state = state_of(self.ways[i]);
+        self.ways[i] &= !VALID;
         Some(Evicted {
             line_addr: self.cfg.line_of(addr),
-            dirty: way.state == Mesi::Modified,
-            state: way.state,
-            aux: way.aux,
+            dirty: state == Mesi::Modified,
+            state,
+            aux: self.aux.get(i).copied().unwrap_or(0),
         })
     }
 
     /// Number of valid lines currently resident (O(lines); for tests and
     /// reports).
     pub fn resident_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.ways.iter().filter(|&&w| w & VALID != 0).count()
     }
 
     /// Iterates the line addresses of all resident lines with their states
@@ -298,14 +359,14 @@ impl Cache {
     pub fn resident(&self) -> impl Iterator<Item = (u64, Mesi)> + '_ {
         let a = self.cfg.associativity();
         let num_sets = self.cfg.num_sets() as u64;
-        let line_bytes = self.cfg.line_bytes() as u64;
+        let line_shift = self.cfg.line_shift();
         self.ways
             .iter()
             .enumerate()
-            .filter(|(_, w)| w.valid)
-            .map(move |(i, w)| {
+            .filter(|(_, &w)| w & VALID != 0)
+            .map(move |(i, &w)| {
                 let set = (i / a) as u64;
-                ((w.tag * num_sets + set) * line_bytes, w.state)
+                (((w & TAG_MASK) * num_sets + set) << line_shift, state_of(w))
             })
     }
 }
@@ -376,7 +437,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes_line() {
-        let mut c = tiny();
+        let mut c = Cache::with_aux(CacheConfig::new(512, 64, 2));
         c.fill(0x80, Mesi::Modified);
         c.set_aux(0x80, 7);
         let gone = c.invalidate(0x80).expect("resident");
@@ -425,6 +486,13 @@ mod tests {
         assert_eq!(c.resident_lines(), 2);
         c.invalidate(0);
         assert_eq!(c.resident_lines(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 60 bits")]
+    fn rejects_geometry_whose_tags_overflow_the_way() {
+        // One set of 8-byte lines: address u64::MAX has a 61-bit tag.
+        Cache::new(CacheConfig::new(8, 8, 1));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * Inclusion is enforced: evicting or invalidating an L2 line invalidates
 //!   the corresponding L1 sub-lines. Each L2 way's `aux` tag holds the
 //!   virtual address its L1 sub-lines were filled under (or [`NO_VA`]), so
-//!   the sub-lines are found without a physical → virtual map.
+//!   the sub-lines are found without a physical → virtual map. Only the L2s
+//!   are built with `aux` storage ([`Cache::with_aux`]); an L1 way is one
+//!   packed word (see [`crate::cache`]).
 //! * Outside the sharing tracker's records of invalidated lines, a
 //!   reference hashes nothing: the TLB, the shadow cache and the victim
 //!   buffer index an [`LruSet`](crate::lru::LruSet) by page or line
@@ -138,8 +140,8 @@ const NO_VA: u64 = u64::MAX;
 
 /// One processor's private hierarchy. It hashes nothing: the caches index
 /// by set, and the TLB and the shadow cache through the dense index of
-/// their [`LruSet`](crate::lru::LruSet). The L1s keep no tag of their own:
-/// each L2 way's `aux` names the virtual address of its L1 sub-lines, for
+/// their [`LruSet`](crate::lru::LruSet). The L1s keep no `aux` tags: each
+/// L2 way's `aux` names the virtual address of its L1 sub-lines, for
 /// inclusion, and its prefetched mark feeds prefetch-hit accounting.
 #[derive(Debug)]
 struct CpuMem {
@@ -174,8 +176,9 @@ pub struct MemorySystem<P: Probe = NullProbe> {
     directory: DenseMap64<DirEntry>,
     probe: P,
     /// Virtual-range → array-id tags for miss attribution. Empty (the
-    /// default) disables [`Probe::on_classified_miss`] emission entirely,
-    /// so untagged systems pay nothing.
+    /// default) disables [`Probe::on_classified_miss`] emission entirely.
+    /// The lookup runs only when the probe asks for it, so a probe that
+    /// attributes nothing pays nothing either way.
     regions: RegionMap,
     /// Page colors of the external cache
     /// (`l2_size / (page_size × associativity)`), for pa → color.
@@ -234,7 +237,7 @@ impl<P: Probe> MemorySystem<P> {
             .map(|_| CpuMem {
                 l1d: Cache::new(cfg.l1d),
                 l1i: Cache::new(cfg.l1i),
-                l2: Cache::new(cfg.l2),
+                l2: Cache::with_aux(cfg.l2),
                 tlb: Tlb::new(cfg.tlb_entries),
                 shadow: ShadowCache::new(cfg.l2.num_lines(), page_lines),
                 prefetches: InFlight::default(),
@@ -272,13 +275,6 @@ impl<P: Probe> MemorySystem<P> {
     /// without it (or with an empty map) no attribution events fire.
     pub fn set_regions(&mut self, regions: RegionMap) {
         self.regions = regions;
-    }
-
-    /// The page color of physical address `pa` — the cache bin its page
-    /// occupies in the external cache.
-    #[inline]
-    pub fn color_of_pa(&self, pa: u64) -> u32 {
-        (pa / self.cfg.page_size as u64 % self.num_colors as u64) as u32
     }
 
     /// The configuration this system was built with.
@@ -535,13 +531,16 @@ impl<P: Probe> MemorySystem<P> {
         self.probe
             .on_l2_miss(cpu, now, class.into(), service_latency);
         if !self.regions.is_empty() {
-            let array_id = self
-                .regions
-                .lookup(va)
-                .unwrap_or(cdpc_obs::ATTR_OTHER_ARRAY);
-            let color = self.color_of_pa(pa.0);
+            // Looked up only if the probe asks: under a `NullProbe` the
+            // closure is never called and the lookup folds away.
+            let regions = &self.regions;
+            let page = self.cfg.page_size as u64;
+            let colors = u64::from(self.num_colors);
             self.probe
-                .on_classified_miss(cpu, now, array_id, color, class.into(), service_latency);
+                .on_classified_miss(cpu, now, class.into(), service_latency, || {
+                    let array_id = regions.lookup(va).unwrap_or(cdpc_obs::ATTR_OTHER_ARRAY);
+                    (array_id, (pa.0 / page % colors) as u32)
+                });
         }
 
         AccessOutcome {
@@ -1450,11 +1449,11 @@ mod tests {
             &mut self,
             cpu: usize,
             _cycle: u64,
-            array_id: u32,
-            color: u32,
             class: cdpc_obs::MissClassId,
             latency: u64,
+            attribute: impl Fn() -> (u32, u32),
         ) {
+            let (array_id, color) = attribute();
             self.events.push((cpu, array_id, color, class, latency));
         }
     }

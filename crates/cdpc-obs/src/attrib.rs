@@ -433,12 +433,12 @@ impl Probe for AttributionProbe {
         &mut self,
         cpu: usize,
         cycle: u64,
-        array_id: u32,
-        color: u32,
         class: MissClassId,
         latency_cycles: u64,
+        attribute: impl Fn() -> (u32, u32),
     ) {
         self.events += 1;
+        let (array_id, color) = attribute();
         let row = self.row_of(array_id);
         let color = (color as usize).min(self.colors - 1);
         let cpu = cpu.min(self.cpus - 1);
@@ -529,7 +529,7 @@ mod tests {
     #[test]
     fn events_outside_phases_are_discarded() {
         let mut p = probe();
-        p.on_classified_miss(0, 10, 0, 1, MissClassId::Conflict, 50);
+        p.on_classified_miss(0, 10, MissClassId::Conflict, 50, || (0, 1));
         p.on_phase_start(0, 1);
         p.on_phase_end(0, 100);
         assert_eq!(p.misses_total(), 0, "warm-up misses must not count");
@@ -539,8 +539,8 @@ mod tests {
     fn phase_weighting_multiplies_counts() {
         let mut p = probe();
         p.on_phase_start(0, 11);
-        p.on_classified_miss(0, 10, 0, 1, MissClassId::Conflict, 50);
-        p.on_classified_miss(1, 20, 1, 2, MissClassId::Capacity, 60);
+        p.on_classified_miss(0, 10, MissClassId::Conflict, 50, || (0, 1));
+        p.on_classified_miss(1, 20, MissClassId::Capacity, 60, || (1, 2));
         p.on_phase_end(0, 100);
         assert_eq!(p.misses_total(), 22);
         assert_eq!(p.cell(0, 1, 0, MissClassId::Conflict), 11);
@@ -555,8 +555,8 @@ mod tests {
     fn unknown_arrays_land_in_other_row() {
         let mut p = probe();
         p.on_phase_start(0, 1);
-        p.on_classified_miss(0, 10, ATTR_OTHER_ARRAY, 0, MissClassId::Cold, 50);
-        p.on_classified_miss(0, 20, 7, 0, MissClassId::Cold, 50);
+        p.on_classified_miss(0, 10, MissClassId::Cold, 50, || (ATTR_OTHER_ARRAY, 0));
+        p.on_classified_miss(0, 20, MissClassId::Cold, 50, || (7, 0));
         p.on_phase_end(0, 100);
         assert_eq!(p.array_total(2), 2, "both land in the (other) row");
     }
@@ -565,15 +565,15 @@ mod tests {
     fn inter_miss_distances_are_per_cpu_and_per_phase() {
         let mut p = probe();
         p.on_phase_start(0, 1);
-        p.on_classified_miss(0, 100, 0, 0, MissClassId::Cold, 10);
-        p.on_classified_miss(1, 500, 0, 0, MissClassId::Cold, 10);
-        p.on_classified_miss(0, 130, 0, 0, MissClassId::Cold, 10);
+        p.on_classified_miss(0, 100, MissClassId::Cold, 10, || (0, 0));
+        p.on_classified_miss(1, 500, MissClassId::Cold, 10, || (0, 0));
+        p.on_classified_miss(0, 130, MissClassId::Cold, 10, || (0, 0));
         p.on_phase_end(0, 600);
         // Only CPU 0 had two misses: one 30-cycle gap.
         assert_eq!(p.inter_miss().count(), 1);
         assert_eq!(p.inter_miss().min(), 30);
         p.on_phase_start(1, 1);
-        p.on_classified_miss(0, 1000, 0, 0, MissClassId::Cold, 10);
+        p.on_classified_miss(0, 1000, MissClassId::Cold, 10, || (0, 0));
         p.on_phase_end(1, 1100);
         // The gap from cycle 130 to 1000 crosses a phase boundary: dropped.
         assert_eq!(p.inter_miss().count(), 1);
@@ -600,10 +600,10 @@ mod tests {
     fn top_conflicts_sorts_deterministically() {
         let mut p = probe();
         p.on_phase_start(0, 2);
-        p.on_classified_miss(0, 1, 0, 3, MissClassId::Conflict, 10);
-        p.on_classified_miss(0, 2, 1, 3, MissClassId::Conflict, 10);
-        p.on_classified_miss(0, 3, 1, 3, MissClassId::Conflict, 10);
-        p.on_classified_miss(0, 4, 0, 2, MissClassId::Cold, 10);
+        p.on_classified_miss(0, 1, MissClassId::Conflict, 10, || (0, 3));
+        p.on_classified_miss(0, 2, MissClassId::Conflict, 10, || (1, 3));
+        p.on_classified_miss(0, 3, MissClassId::Conflict, 10, || (1, 3));
+        p.on_classified_miss(0, 4, MissClassId::Cold, 10, || (0, 2));
         p.on_phase_end(0, 10);
         let top = p.top_conflicts(10);
         assert_eq!(top, vec![(1, 3, 4), (0, 3, 2)]);
@@ -614,7 +614,7 @@ mod tests {
         let mut p = probe();
         p.on_page_fault(0, 1, 100, 1, HintOutcome::Honored);
         p.on_phase_start(0, 3);
-        p.on_classified_miss(0, 10, 0, 1, MissClassId::Conflict, 50);
+        p.on_classified_miss(0, 10, MissClassId::Conflict, 50, || (0, 1));
         p.on_run_batch(0, 16);
         p.on_phase_end(0, 200);
         let doc = p.to_json(&["a".to_string(), "b".to_string()]);
@@ -651,7 +651,7 @@ mod tests {
         let mut p = probe();
         p.on_page_fault(0, 1, 100, 1, HintOutcome::Honored);
         p.on_phase_start(0, 2);
-        p.on_classified_miss(0, 10, 0, 1, MissClassId::Conflict, 50);
+        p.on_classified_miss(0, 10, MissClassId::Conflict, 50, || (0, 1));
         p.on_phase_end(0, 100);
         p.reset();
         assert_eq!(p.misses_total(), 0);

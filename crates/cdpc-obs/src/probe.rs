@@ -252,22 +252,23 @@ pub trait Probe {
         let _ = (page_base, page_bytes);
     }
 
-    /// An external-cache miss with full attribution context: the source
-    /// array (`ATTR_OTHER_ARRAY` for code or untracked regions), the cache
-    /// color of the physical page the miss landed in, its class, and the
-    /// service latency. Fired alongside [`Probe::on_l2_miss`] whenever the
-    /// memory system has a region map installed.
+    /// An external-cache miss that can be attributed: its class and
+    /// service latency, and `attribute`, which returns the source array
+    /// (`ATTR_OTHER_ARRAY` for code or untracked regions) and the cache
+    /// color of the physical page the miss landed in. Fired alongside
+    /// [`Probe::on_l2_miss`] whenever the memory system has a region map
+    /// installed. `attribute` does the region lookup, so a probe that
+    /// never calls it (the default) costs the miss path nothing.
     #[inline]
     fn on_classified_miss(
         &mut self,
         cpu: usize,
         cycle: u64,
-        array_id: u32,
-        color: u32,
         class: MissClassId,
         latency_cycles: u64,
+        attribute: impl Fn() -> (u32, u32),
     ) {
-        let _ = (cpu, cycle, array_id, color, class, latency_cycles);
+        let _ = (cpu, cycle, class, latency_cycles, attribute);
     }
 
     /// The run loop is about to execute measured phase `index`, which
@@ -394,12 +395,11 @@ impl<P: Probe + ?Sized> Probe for &mut P {
         &mut self,
         cpu: usize,
         cycle: u64,
-        array_id: u32,
-        color: u32,
         class: MissClassId,
         latency_cycles: u64,
+        attribute: impl Fn() -> (u32, u32),
     ) {
-        (**self).on_classified_miss(cpu, cycle, array_id, color, class, latency_cycles);
+        (**self).on_classified_miss(cpu, cycle, class, latency_cycles, attribute);
     }
 
     #[inline]
@@ -526,13 +526,12 @@ impl<P: Probe> Probe for Option<P> {
         &mut self,
         cpu: usize,
         cycle: u64,
-        array_id: u32,
-        color: u32,
         class: MissClassId,
         latency_cycles: u64,
+        attribute: impl Fn() -> (u32, u32),
     ) {
         if let Some(p) = self {
-            p.on_classified_miss(cpu, cycle, array_id, color, class, latency_cycles);
+            p.on_classified_miss(cpu, cycle, class, latency_cycles, attribute);
         }
     }
 
@@ -638,12 +637,11 @@ macro_rules! tuple_probe {
                 &mut self,
                 cpu: usize,
                 cycle: u64,
-                array_id: u32,
-                color: u32,
                 class: MissClassId,
                 latency_cycles: u64,
+                attribute: impl Fn() -> (u32, u32),
             ) {
-                $(self.$idx.on_classified_miss(cpu, cycle, array_id, color, class, latency_cycles);)+
+                $(self.$idx.on_classified_miss(cpu, cycle, class, latency_cycles, &attribute);)+
             }
 
             #[inline]

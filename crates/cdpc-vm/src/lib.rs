@@ -263,6 +263,12 @@ impl AddressSpace {
         self.stats
     }
 
+    /// Zeroes the fault statistics, so that [`stats`](Self::stats) counts
+    /// only later faults (mappings stay as they are).
+    pub fn reset_stats(&mut self) {
+        self.stats = FaultStats::default();
+    }
+
     /// Number of physical pages still free.
     pub fn free_pages(&self) -> usize {
         self.phys.free_pages()
